@@ -81,6 +81,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, object | None] = {attr: None for attr in _CONFIG_KEYS.values()}
     if args.config:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

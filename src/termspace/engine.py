@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,8 +125,9 @@ class BiasConfig:
     ``none`` passes counts through unchanged. ``additive`` adds
     ``round(magnitude * u)`` with ``u`` uniform in [0, 1]; ``multiplicative``
     scales by ``1 + magnitude * u`` with ``u`` uniform in [-1, 1], floored
-    at zero. The draw is a pure function of (seed, mode, magnitude, event),
-    so identical inputs always produce identical outputs.
+    at zero. A zero magnitude leaves counts exact in every mode, and the
+    magnitude must be finite. The draw is a pure function of (seed, mode,
+    magnitude, event), so identical inputs always produce identical outputs.
     """
 
     mode: str = "none"
@@ -135,6 +137,8 @@ class BiasConfig:
     def __post_init__(self) -> None:
         if self.mode not in BIAS_MODES:
             raise ValueError(f"bias mode must be one of {BIAS_MODES}, got {self.mode!r}")
+        if not math.isfinite(self.magnitude):
+            raise ValueError(f"bias magnitude must be finite, got {self.magnitude!r}")
         if self.magnitude < 0:
             raise ValueError("bias magnitude must be non-negative")
 
@@ -244,7 +248,7 @@ def _seeded_uniform(bias: BiasConfig, doc_ids: Iterable[str], lo: float, hi: flo
 def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
     """Report the size of an event, optionally perturbed per ``bias``."""
     count = event.cardinality
-    if bias is None or bias.mode == "none":
+    if bias is None or bias.mode == "none" or bias.magnitude == 0:
         return count
     if bias.mode == "additive":
         return count + round(bias.magnitude * _seeded_uniform(bias, event.doc_ids, 0.0, 1.0))

@@ -102,27 +102,55 @@ class MirrorShade:
     z: int
 
 
+def _doc_bitsets(words: Sequence[str], index: Index) -> list[int]:
+    # One int per word with bit i set when the word occurs in the index's
+    # i-th document (insertion order); built for the given words only.
+    ordinals = {doc_id: i for i, doc_id in enumerate(index.documents)}
+    width = (len(ordinals) + 7) // 8
+    bitsets = []
+    for w in words:
+        buf = bytearray(width)
+        for doc_id in index.postings.get(w, ()):
+            i = ordinals[doc_id]
+            buf[i >> 3] |= 1 << (i & 7)
+        bitsets.append(int.from_bytes(buf, "little"))
+    return bitsets
+
+
 def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> WordGraph:
     """Complete relation graph on the context words.
 
     Edge weight is the doubleton count of the word pair, or its Jaccard
     ratio over the two singleton events (0 when the union is empty).
     Counts are always exact; no bias is applied.
+
+    Each vertex's document set is one ``int`` bitset over document
+    ordinals, so a pair costs one ``&`` and one ``bit_count`` of
+    ``documents / 64`` machine words, and the union size follows from the
+    two set sizes. Weights are shared between pairs with the same
+    ``(intersection, union)`` sizes, so at most one ``Fraction`` is made
+    per distinct pair of sizes (``Fraction`` is immutable).
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if not ctx.words:
         raise ValueError("cannot build a graph from an empty context")
     vertices = tuple(sorted(ctx.words))
-    docsets = {w: singleton(index, Term((w,))).doc_ids for w in vertices}
+    bitsets = _doc_bitsets(vertices, index)
+    sizes = [b.bit_count() for b in bitsets]
+    jaccard = measure == "jaccard"
+    memo: dict[tuple[int, int], Fraction] = {}
     weights: dict[tuple[str, str], Fraction] = {}
-    for a, b in combinations(vertices, 2):
-        inter = len(docsets[a] & docsets[b])
-        if measure == "doubleton_count":
-            weights[(a, b)] = Fraction(inter)
-        else:
-            union = len(docsets[a]) + len(docsets[b]) - inter
-            weights[(a, b)] = Fraction(inter, union) if union else Fraction(0)
+    for i, a in enumerate(vertices):
+        bits_a, size_a = bitsets[i], sizes[i]
+        for j in range(i + 1, len(vertices)):
+            inter = (bits_a & bitsets[j]).bit_count()
+            # A doubleton count is the intersection size over 1.
+            union = size_a + sizes[j] - inter if jaccard else 1
+            weight = memo.get((inter, union))
+            if weight is None:
+                weight = memo[(inter, union)] = Fraction(inter, union) if union else Fraction(0)
+            weights[(a, vertices[j])] = weight
     return WordGraph(vertices=vertices, weights=weights)
 
 

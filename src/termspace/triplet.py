@@ -21,11 +21,13 @@ per-word document counts from the index.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping
 
-from .engine import Index, Term, _coerce_term, contains_phrase, singleton
+from .engine import Index, Term, _coerce_term, contains_phrase
 from .snippets import Snippet, SnippetList
 
 HALF = Fraction(1, 2)
@@ -124,14 +126,31 @@ def build_context(
     Each word gets its snippet weight and its document count from the
     index (every word is itself queryable as a one-token term). Rejects
     an empty snippet list and a word set that stopword removal emptied.
+
+    The weights take one pass over the snippet words: each snippet's words
+    are counted into one ``Counter`` per snippet length, and each word's
+    weight is then a single exact ``Fraction`` over the least common
+    multiple of the ``2 * length`` denominators. The cost is linear in the
+    snippet words plus words times distinct lengths, and the result equals
+    :func:`word_weight`, which rescans every snippet for every word. The
+    document count is the size of the word's postings map.
     """
     if snippet_list.n == 0:
         raise ValueError("cannot build a context from an empty snippet list")
-    vocabulary = {w for s in snippet_list.snippets for w in s.words} - set(stopwords)
+    counts_by_length: dict[int, Counter[str]] = {}
+    for s in snippet_list.snippets:
+        counts_by_length.setdefault(s.length, Counter()).update(s.words)
+    denominator = math.lcm(*(2 * length for length in counts_by_length))
+    numerators: Counter[str] = Counter()
+    for length, counts in counts_by_length.items():
+        scale = denominator // (2 * length)
+        for w, m in counts.items():
+            numerators[w] += m * scale
+    vocabulary = set(numerators) - set(stopwords)
     if not vocabulary:
         raise ValueError("no words left after stopword removal")
     stats = {
-        w: WordStat(word=w, nu=word_weight(w, snippet_list), mu=singleton(index, Term((w,))).cardinality)
+        w: WordStat(word=w, nu=Fraction(numerators[w], denominator), mu=len(index.postings.get(w, ())))
         for w in sorted(vocabulary)
     }
     nu_order = tuple(sorted(stats, key=lambda w: (-stats[w].nu, w)))

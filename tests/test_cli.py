@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -215,6 +217,56 @@ class TestConfigFile:
         assert code == 1
         assert "widnow" in err
 
+    @pytest.mark.parametrize("text", ["[1]", "3", '"corpus"', "null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys, text):
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {config}: config must be a JSON object\n"
+
+
+class TestBiasMagnitude:
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_non_finite_magnitude_is_one_error_line(self, tmp_path, capsys, mode, magnitude):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        code, out, err = run_cli(
+            capsys,
+            ["query", "--corpus", str(corpus), "--bias-mode", mode, f"--bias-magnitude={magnitude}", "rock"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert magnitude in err
+
+    def test_non_finite_magnitude_in_config_rejected(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(
+            '{"corpus": %s, "bias_mode": "additive", "bias_magnitude": NaN}' % json.dumps(str(corpus)),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, ["query", "--config", str(config), "rock"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: bias magnitude must be finite, got nan\n"
+
+    @pytest.mark.parametrize("mode", ["none", "additive", "multiplicative"])
+    def test_zero_magnitude_counts_are_json_integers(self, tmp_path, capsys, mode):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        code, out, _ = run_cli(
+            capsys,
+            ["query", "--corpus", str(corpus), "--bias-mode", mode, "--bias-magnitude", "0", "rock", "trail"],
+        )
+        assert code == 0
+        pairs = list(FIXTURE.items())
+        rock, trail = brute_singleton(pairs, ["rock"]), brute_singleton(pairs, ["trail"])
+        payload = json.loads(out)
+        assert payload["counts"] == [len(rock), len(trail)]
+        assert payload["doubleton"] == len(rock & trail)
+
 
 class TestPipelineCommand:
     def test_absent_term_reports_empty_stages(self, tmp_path, capsys):
@@ -292,6 +344,72 @@ class TestPipelineCommand:
             )
             bundles.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert bundles[0] == bundles[1]
+
+
+# A corpus made only from ``Random.random`` draws, which Python keeps stable
+# across versions for a given seed. Ids are assigned out of sorted order.
+GOLDEN_VOCAB = (
+    "pivot", "stone", "river", "cedar", "lantern", "orbit", "meadow", "copper", "signal",
+    "harbor", "thistle", "quartz", "ember", "willow", "falcon", "granite", "the", "of", "and", "a",
+)
+
+
+def golden_corpus():
+    rng = random.Random(2013)
+    docs = {}
+    for i in range(36):
+        length = 12 + int(40 * rng.random())
+        words = [GOLDEN_VOCAB[int(len(GOLDEN_VOCAB) * rng.random() ** 2)] for _ in range(length)]
+        if i % 3 == 0:
+            words.insert(int(len(words) * rng.random()), "stone river")
+        docs[f"doc{(i * 7) % 36:02d}"] = " ".join(words)
+    return docs
+
+
+# SHA-256 of every bundle file, recorded when word weights came from the
+# reference rescan (``word_weight``) and graph weights from document-id set
+# intersections. Any change to a Fraction, a tie-broken order or a rendered
+# digit changes a digest, even one that two runs of the same code share.
+GOLDEN_BUNDLES = {
+    "pivot": (
+        ["--window", "4", "--alpha", "2", "--stopwords", "STOPWORDS"],
+        {
+            "context.json": "8de53ab82eb1913284f14dbbe0552542008bef78d668415aab5908b62688be44",
+            "graph.dot": "e8ea3ec8bae7b1c698d0afe8647781fb29ab7393b9b235ae762233986c6a8b53",
+            "report.json": "b69dd331c12cbcbd90831cc54de215cd4a70b59a4cef8962a052b505d44c0866",
+            "shade.json": "d6f5b731a4ffdaea43fd8126ac72906db1bdb350c88d7661b35ce77fbcfd810c",
+            "snippets.json": "147efaa13b14bf0a7565cf49021a6e980022bc0a3ba2fd8de4236bf0531ec3cc",
+            "tree.dot": "b23a32a9330e88303150f0f89387aaea3944f76f2ed5ba94e55a037204486ce5",
+        },
+    ),
+    "stone river": (
+        ["--window", "3", "--limit", "2", "--measure", "doubleton_count", "--alpha", "1/4"],
+        {
+            "context.json": "fd82be66ebaa9c1ae4e5071448759b120781f8d0a602595f46b3db517670caef",
+            "graph.dot": "bb0e52475a8a438fb2ea8d3cb7f9d9aadd09a1119410bf5e66181402c377a16d",
+            "report.json": "6d78d81a1b2eb2f67f7446bdba1ad1d06e193250f7fe6e73a1b90107926baaea",
+            "shade.json": "b0f36b5aad3f780399804f0fdd27e3dddb6b774802f3a4c67e211ceb21f32d4b",
+            "snippets.json": "7c00d707b1c2e3636da0234466667f5b3453fee69a4f8962f5eecc19875e232c",
+            "tree.dot": "08a35b6e0a29c0dd249a67415eb6e68f842b7642ad3d487fc5fa7a169cdbcf2f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("term", sorted(GOLDEN_BUNDLES))
+def test_bundle_digests_match_recorded(tmp_path, capsys, term):
+    corpus = write_corpus(tmp_path, golden_corpus())
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("the\nof\nand\na\n", encoding="utf-8")
+    flags, expected = GOLDEN_BUNDLES[term]
+    flags = [str(stopwords) if f == "STOPWORDS" else f for f in flags]
+    out_dir = tmp_path / "bundle"
+    code, _, err = run_cli(
+        capsys, ["pipeline", "--corpus", str(corpus), *flags, "--out", str(out_dir), term]
+    )
+    assert code == 0, err
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == expected
 
 
 def test_module_entry_point(tmp_path):

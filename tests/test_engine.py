@@ -273,3 +273,17 @@ class TestHitCount:
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             BiasConfig(mode="additive", magnitude=-1)
+
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("mode", ["none", "additive", "multiplicative"])
+    def test_non_finite_magnitude_rejected_by_value(self, mode, magnitude):
+        with pytest.raises(ValueError, match=f"finite, got {magnitude!r}"):
+            BiasConfig(mode=mode, magnitude=magnitude)
+
+    @pytest.mark.parametrize("mode", ["none", "additive", "multiplicative"])
+    def test_zero_magnitude_returns_exact_int_count(self, mode):
+        event = EventSet(frozenset({"a", "b"}))
+        for seed in range(5):
+            count = hit_count(event, BiasConfig(mode=mode, magnitude=0, seed=seed))
+            assert type(count) is int
+            assert count == 2

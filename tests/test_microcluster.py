@@ -110,6 +110,33 @@ class TestBuildWordGraph:
             for a, b, w in counts.edges():
                 assert w == len(brute_singleton(corpus, [a]) & brute_singleton(corpus, [b]))
 
+    def test_both_measures_equal_set_oracles_exactly(self):
+        # More documents than one byte of bitset, indexed in shuffled id
+        # order, with stopwords removed from the context.
+        rng = random.Random(2024)
+        alphabet = tuple(f"w{i}" for i in range(14))
+        checked = 0
+        for _ in range(15):
+            corpus = random_corpus(rng, max_docs=40, max_tokens=25, alphabet=alphabet, min_docs=9)
+            rng.shuffle(corpus)
+            term_tokens = random_present_term(rng, corpus)
+            if term_tokens is None:
+                continue
+            index = build_index(corpus)
+            lst = extract_snippets(index, Term(tuple(term_tokens)), window=rng.randint(1, 5))
+            stopwords = set(rng.sample(alphabet, rng.randint(0, 4))) - set(term_tokens)
+            ctx = build_context(lst, index, stopwords)
+            docs = {w: brute_singleton(corpus, [w]) for w in ctx.words}
+            jaccard = build_word_graph(ctx, index, measure="jaccard")
+            counts = build_word_graph(ctx, index, measure="doubleton_count")
+            assert jaccard.vertices == counts.vertices == tuple(sorted(ctx.words))
+            for a, b, w in jaccard.edges():
+                assert w == brute_jaccard(corpus, a, b)
+            for a, b, w in counts.edges():
+                assert w == len(docs[a] & docs[b])
+            checked += 1
+        assert checked >= 10
+
 
 class TestMicroCluster:
     CTX = {"high": (Fraction(1, 2), 5), "mid": (Fraction(3, 10), 2), "low": (Fraction(1, 10), 7)}

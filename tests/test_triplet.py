@@ -29,7 +29,7 @@ from termspace import (
 )
 
 from conftest import random_corpus, random_present_term
-from oracles import brute_context, brute_singleton
+from oracles import brute_context, brute_singleton, window_snippets
 
 HALF = Fraction(1, 2)
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
@@ -235,6 +235,40 @@ class TestBuildContext:
             for w, (weight, count) in expected.items():
                 assert abs(float(ctx.words[w].nu) - weight) <= 1e-12
                 assert ctx.words[w].mu == count
+
+    def test_weights_and_counts_equal_exact_oracles(self):
+        # Exact Fraction equality against the rescanning reference
+        # ``word_weight`` and a sum over the oracle's own snippet windows;
+        # documents are indexed in shuffled id order and stopwords vary.
+        rng = random.Random(1303)
+        alphabet = tuple(f"w{i}" for i in range(12))
+        checked = 0
+        for _ in range(40):
+            corpus = random_corpus(rng, max_docs=25, max_tokens=40, alphabet=alphabet)
+            rng.shuffle(corpus)
+            term_tokens = random_present_term(rng, corpus)
+            if term_tokens is None:
+                continue
+            stopwords = set(rng.sample(alphabet, rng.randint(0, 6)))
+            window, limit = rng.randint(1, 6), rng.randint(1, 3)
+            index = build_index(corpus)
+            lst = extract_snippets(index, Term(tuple(term_tokens)), window, limit)
+            word_lists = [ws for _, ws in window_snippets(corpus, term_tokens, window, limit)]
+            vocabulary = {w for ws in word_lists for w in ws} - stopwords
+            if not vocabulary:
+                with pytest.raises(ValueError, match="stopword"):
+                    build_context(lst, index, stopwords)
+                continue
+            ctx = build_context(lst, index, stopwords)
+            assert set(ctx.words) == vocabulary
+            for w, stat in ctx.words.items():
+                assert stat.nu == word_weight(w, lst)
+                assert stat.nu == sum(
+                    (Fraction(ws.count(w), 2 * len(ws)) for ws in word_lists), Fraction(0)
+                )
+                assert stat.mu == len(brute_singleton(corpus, [w]))
+            checked += 1
+        assert checked >= 20
 
     def test_context_words_are_queryable_terms(self):
         # Every context word round-trips through the engine, alone and in pairs.
