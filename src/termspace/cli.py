@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,9 @@ from .snippets import extract_snippets, snippets_to_dict
 from .triplet import build_context, context_to_dict
 
 PIPELINE_DEFAULT_DIR = "pipeline_out"
+# Every file a pipeline run can write. A run removes the ones it does not
+# write, so a bundle directory never keeps files from an earlier run.
+_ARTIFACT_NAMES = ("snippets.json", "context.json", "graph.dot", "tree.dot", "shade.json", "report.json")
 
 
 @dataclass
@@ -298,14 +302,28 @@ def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
     return report, artifacts
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    # A reader sees the old file or the new one, never a partial write.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out_dir = Path(cfg.out or PIPELINE_DEFAULT_DIR)
     report, artifacts = run_pipeline(cfg, args.term)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in _ARTIFACT_NAMES:
+        if name not in artifacts:
+            (out_dir / name).unlink(missing_ok=True)
     for name, text in artifacts.items():
-        with (out_dir / name).open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_atomic(out_dir / name, text)
     sys.stdout.write(dump_json(report))
     return 0
 

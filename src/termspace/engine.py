@@ -14,30 +14,28 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 BIAS_MODES = ("none", "additive", "multiplicative")
 
+# A run of characters for which ``str.isalnum`` holds: in a ``str``
+# pattern ``\w`` is exactly ``isalnum`` plus the underscore, which the
+# class removes again.
+_TOKEN = re.compile(r"[^\W_]+")
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on runs of non-alphanumeric characters.
 
-    Empty tokens are dropped and order is preserved. The empty string
-    yields an empty list.
+    A token is a maximal run of characters of the lowercased text for
+    which ``str.isalnum`` is true; the regular expression agrees with
+    ``str.isalnum`` on every code point. Empty tokens are dropped and
+    order is preserved. The empty string yields an empty list.
     """
-    tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)
@@ -47,6 +45,8 @@ class Term:
     ``tokens`` is the word sequence; ``size`` is the declared parameter
     count and defaults to the token count. Matching is positional: a
     document matches when the tokens appear as a contiguous subsequence.
+    Every token must be a fixed point of :func:`tokenize` (one lowercase
+    alphanumeric word), since no other token can occur in an index.
     """
 
     tokens: tuple[str, ...]
@@ -61,6 +61,9 @@ class Term:
                 raise ValueError(f"invalid term token: {tok!r}")
             if tok != tok.lower():
                 raise ValueError(f"term tokens must be lowercase: {tok!r}")
+            # For a lowercase token this is ``tokenize(tok) == [tok]``.
+            if not _TOKEN.fullmatch(tok):
+                raise ValueError(f"term tokens must be single alphanumeric words: {tok!r}")
         if self.size is None:
             object.__setattr__(self, "size", len(self.tokens))
         elif self.size < len(self.tokens):
@@ -246,13 +249,19 @@ def _seeded_uniform(bias: BiasConfig, doc_ids: Iterable[str], lo: float, hi: flo
 
 
 def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
-    """Report the size of an event, optionally perturbed per ``bias``."""
+    """Report the size of an event, optionally perturbed per ``bias``.
+
+    A multiplicative perturbation that leaves the float range is rejected
+    with a ``ValueError`` naming the magnitude, never returned as ``inf``.
+    """
     count = event.cardinality
     if bias is None or bias.mode == "none" or bias.magnitude == 0:
         return count
     if bias.mode == "additive":
         return count + round(bias.magnitude * _seeded_uniform(bias, event.doc_ids, 0.0, 1.0))
     noisy = count * (1.0 + bias.magnitude * _seeded_uniform(bias, event.doc_ids, -1.0, 1.0))
+    if not math.isfinite(noisy):
+        raise ValueError(f"bias magnitude {bias.magnitude!r} overflows the perturbed count")
     return max(0.0, noisy)
 
 

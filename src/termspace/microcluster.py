@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .engine import Index, Term, singleton
@@ -30,27 +31,42 @@ class WordGraph:
 
     Vertices are the words themselves (the word-to-vertex bijection is the
     identity). ``weights`` is keyed by the sorted word pair.
+
+    Validation makes no set of pairs: mapping keys are unique, so a
+    mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
+    holds nothing else. The sign of a rational weight is read from its
+    numerator, which avoids one ``Fraction`` comparison per edge.
     """
 
     vertices: tuple[str, ...]
     weights: Mapping[tuple[str, str], Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(sorted(self.vertices))
+        object.__setattr__(self, "vertices", vertices)
+        if len(set(vertices)) != len(vertices):
             raise ValueError("graph vertices must be unique")
-        expected = set(combinations(self.vertices, 2))
-        if set(self.weights) != expected:
+        n = len(vertices)
+        if len(self.weights) != n * (n - 1) // 2 or not all(
+            map(self.weights.__contains__, combinations(vertices, 2))
+        ):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
-        if any(w < 0 for w in self.weights.values()):
+        # A weight without a numerator (a float) stands for its own sign.
+        values = self.weights.values()
+        if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:
             raise ValueError("edge weights must be non-negative")
 
     def weight(self, a: str, b: str) -> Fraction:
         return self.weights[(a, b) if a < b else (b, a)]
 
     def edges(self) -> list[Edge]:
-        """Edges as (a, b, weight) triples in lexicographic order."""
-        return [(a, b, self.weights[(a, b)]) for a, b in sorted(self.weights)]
+        """Edges as (a, b, weight) triples in lexicographic order.
+
+        The rows of the sorted vertex tuple give the sorted pair order, so
+        nothing is sorted.
+        """
+        vertices, weights = self.vertices, self.weights
+        return [(a, b, weights[a, b]) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,8 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
 def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float | str) -> MicroCluster:
     """Retain the context words whose weight is at least ``alpha``.
 
-    The retained words induce a complete subgraph of ``graph``. A
+    The retained words induce a complete subgraph of ``graph``, whose
+    weights are looked up pair by pair among the retained words only. A
     threshold above every weight yields an empty cluster rather than an
     error.
     """
@@ -165,9 +182,10 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     if threshold < 0:
         raise ValueError("alpha must be non-negative")
     retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
-    kept = set(retained)
     sub_vertices = tuple(sorted(retained))
-    sub_weights = {pair: w for pair, w in graph.weights.items() if pair[0] in kept and pair[1] in kept}
+    weights = graph.weights
+    # A pair the graph lacks is left out, so ``WordGraph`` rejects it.
+    sub_weights = {pair: weights[pair] for pair in combinations(sub_vertices, 2) if pair in weights}
     sub = WordGraph(vertices=sub_vertices, weights=sub_weights)
     return MicroCluster(graph=sub, words=retained, alpha=threshold)
 
@@ -202,10 +220,9 @@ def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
     """
     if mc.is_empty:
         raise ValueError("optimal_micro_cluster needs at least one vertex")
-    ordered = sorted(
-        ((a, b, w) for (a, b), w in mc.graph.weights.items()),
-        key=lambda e: (-e[2], e[0], e[1]),
-    )
+    # ``edges()`` is in lexicographic order and the sort is stable (also
+    # with ``reverse``), so equal weights keep that order.
+    ordered = sorted(mc.graph.edges(), key=itemgetter(2), reverse=True)
     forest = _UnionFind(mc.graph.vertices)
     kept = tuple(e for e in ordered if forest.union(e[0], e[1]))
     return TreeCluster(vertices=mc.graph.vertices, edges=kept, words=mc.words)
@@ -251,22 +268,33 @@ def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
 
 
 def _dot(vertices: Sequence[str], edges: Sequence[Edge]) -> str:
+    # ``edges`` come in lexicographic order. Many edges share one weight
+    # object, so each object's label is formatted once; keying the cache by
+    # ``id`` is safe because ``edges`` keeps every weight alive.
+    labels: dict[int, str] = {}
     lines = ["graph {"]
-    for v in vertices:
-        lines.append(f'  "{v}";')
-    for a, b, w in sorted(edges, key=lambda e: (e[0], e[1])):
-        lines.append(f'  "{a}" -- "{b}" [label="{float(w):.6f}"];')
+    lines += [f'  "{v}";' for v in vertices]
+    for a, b, w in edges:
+        label = labels.get(id(w))
+        if label is None:
+            label = labels[id(w)] = f"{float(w):.6f}"
+        lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_dot(graph: WordGraph) -> str:
-    """DOT text with edge weights as labels, 6 decimal places."""
+    """DOT text with edge weights as labels, 6 decimal places.
+
+    Edges are listed in the lexicographic pair order of
+    :meth:`WordGraph.edges`, and each distinct weight object's label is
+    formatted once per call.
+    """
     return _dot(graph.vertices, graph.edges())
 
 
 def tree_to_dot(tree: TreeCluster) -> str:
-    return _dot(tree.vertices, tree.edges)
+    return _dot(tree.vertices, sorted(tree.edges, key=itemgetter(0, 1)))
 
 
 def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:
@@ -274,7 +302,7 @@ def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:
         "vertices": list(vertices),
         "edges": [
             {"a": a, "b": b, "weight": rational_str(w)}
-            for a, b, w in sorted(edges, key=lambda e: (e[0], e[1]))
+            for a, b, w in sorted(edges, key=itemgetter(0, 1))
         ],
     }
 

@@ -19,6 +19,21 @@ def scan_tokenize(text):
     return "".join(ch if ch.isalnum() else " " for ch in lowered).split()
 
 
+def loop_tokenize(text):
+    """Reference tokenizer: a character loop over ``str.isalnum``."""
+    tokens = []
+    current = []
+    for ch in text.lower():
+        if ch.isalnum():
+            current.append(ch)
+        elif current:
+            tokens.append("".join(current))
+            current = []
+    if current:
+        tokens.append("".join(current))
+    return tokens
+
+
 def phrase_match(tokens, term_tokens):
     """Contiguous subsequence test by explicit window comparison."""
     k = len(term_tokens)
@@ -158,3 +173,35 @@ def has_cycle(vertices, edge_pairs):
                 seen.add(nbr)
                 stack.append((nbr, node))
     return False
+
+
+def dot_text(vertices, edges):
+    """Reference DOT rendering: edges sorted by pair, one float label per edge.
+
+    ``edges`` holds ``(a, b, weight)`` triples in any order.
+    """
+    lines = ["graph {"]
+    for v in vertices:
+        lines.append(f'  "{v}";')
+    for a, b, w in sorted(edges, key=lambda e: (e[0], e[1])):
+        lines.append(f'  "{a}" -- "{b}" [label="{float(w):.6f}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def kruskal_edges(vertices, weights):
+    """Edges Kruskal keeps, taken in ``(-weight, a, b)`` order.
+
+    ``weights`` maps sorted pairs to weights. Components are tracked as
+    explicit vertex sets and merged by relabelling.
+    """
+    component = {v: {v} for v in vertices}
+    kept = []
+    for a, b, w in sorted(((a, b, w) for (a, b), w in weights.items()), key=lambda e: (-e[2], e[0], e[1])):
+        if component[a] is component[b]:
+            continue
+        merged = component[a] | component[b]
+        for v in merged:
+            component[v] = merged
+        kept.append((a, b, w))
+    return kept

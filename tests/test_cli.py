@@ -253,6 +253,17 @@ class TestBiasMagnitude:
         assert out == ""
         assert err == "error: bias magnitude must be finite, got nan\n"
 
+    def test_overflowing_multiplicative_count_is_one_error_line(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, {f"d{i:02d}": "harbor pier" for i in range(40)})
+        code, out, err = run_cli(
+            capsys,
+            ["query", "--corpus", str(corpus), "--bias-mode", "multiplicative",
+             "--bias-magnitude", "1e308", "--seed", "0", "harbor"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: bias magnitude 1e+308 overflows the perturbed count\n"
+
     @pytest.mark.parametrize("mode", ["none", "additive", "multiplicative"])
     def test_zero_magnitude_counts_are_json_integers(self, tmp_path, capsys, mode):
         corpus = write_corpus(tmp_path, FIXTURE)
@@ -344,6 +355,25 @@ class TestPipelineCommand:
             )
             bundles.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert bundles[0] == bundles[1]
+
+    def test_rerun_removes_stale_artifacts_and_keeps_foreign_files(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        out_dir = tmp_path / "bundle"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept\n", encoding="utf-8")
+        listings = []
+        for alpha in ("0", "100"):
+            code, out, _ = run_cli(
+                capsys, ["pipeline", "--corpus", str(corpus), "--alpha", alpha, "--out", str(out_dir), "rock"]
+            )
+            assert code == 0
+            report = json.loads(out)
+            on_disk = sorted(p.name for p in out_dir.iterdir())
+            assert on_disk == sorted(report["artifacts"] + ["notes.txt"])
+            listings.append(on_disk)
+        assert {"tree.dot", "shade.json"} <= set(listings[0])
+        assert not {"tree.dot", "shade.json"} & set(listings[1])
+        assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 # A corpus made only from ``Random.random`` draws, which Python keeps stable

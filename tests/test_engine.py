@@ -19,7 +19,7 @@ from termspace import (
     tokenize,
 )
 
-from oracles import brute_doubleton, brute_singleton, scan_tokenize
+from oracles import brute_doubleton, brute_singleton, loop_tokenize, scan_tokenize
 
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
 DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
@@ -59,6 +59,15 @@ class TestTokenize:
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
 
+    def test_every_code_point_matches_character_loop(self):
+        mismatched = [cp for cp in range(0x110000) if tokenize(chr(cp)) != loop_tokenize(chr(cp))]
+        assert mismatched == []
+
+    @given(st.text(max_size=200))
+    @settings(max_examples=300)
+    def test_agrees_with_character_loop(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
 
 class TestTerm:
     def test_size_defaults_to_token_count(self):
@@ -79,6 +88,26 @@ class TestTerm:
     def test_whitespace_token_rejected(self):
         with pytest.raises(ValueError):
             Term(("alpha beta",))
+
+    @pytest.mark.parametrize("token", ["x-y", "a_b", "x.y", "e\u0301", "-"])
+    def test_token_that_is_not_a_tokenize_fixed_point_rejected_by_name(self, token):
+        assert tokenize(token) != [token]
+        with pytest.raises(ValueError, match="single alphanumeric words") as info:
+            Term((token,))
+        assert repr(token) in str(info.value)
+
+    def test_whitespace_and_uppercase_keep_their_messages(self):
+        with pytest.raises(ValueError, match="invalid term token: 'x y'"):
+            Term(("x y",))
+        with pytest.raises(ValueError, match="must be lowercase: 'X-y'"):
+            Term(("X-y",))
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=200)
+    def test_tokens_of_any_text_make_a_term(self, text):
+        tokens = tuple(tokenize(text))
+        if tokens:
+            assert Term(tokens).tokens == tokens
 
     def test_parse_tokenizes(self):
         assert Term.parse("Alpha, beta!").tokens == ("alpha", "beta")
@@ -287,3 +316,9 @@ class TestHitCount:
             count = hit_count(event, BiasConfig(mode=mode, magnitude=0, seed=seed))
             assert type(count) is int
             assert count == 2
+
+    def test_overflowing_multiplicative_count_rejected_by_magnitude(self):
+        event = EventSet(frozenset(f"d{i}" for i in range(50)))
+        for seed in range(5):
+            with pytest.raises(ValueError, match="bias magnitude 1e\\+308 overflows"):
+                hit_count(event, BiasConfig(mode="multiplicative", magnitude=1e308, seed=seed))

@@ -18,14 +18,23 @@ from termspace import (
     build_index,
     build_word_graph,
     extract_snippets,
+    graph_to_dot,
     micro_cluster,
     mirror_shade,
     optimal_micro_cluster,
+    tree_to_dot,
     verify_theorem,
 )
 
 from conftest import random_corpus, random_present_term
-from oracles import brute_jaccard, brute_singleton, has_cycle, max_spanning_total
+from oracles import (
+    brute_jaccard,
+    brute_singleton,
+    dot_text,
+    has_cycle,
+    kruskal_edges,
+    max_spanning_total,
+)
 
 
 def context_of(stats_by_word):
@@ -362,3 +371,131 @@ class TestVerifyTheorem:
             tree = optimal_micro_cluster(mc)
             assert verify_theorem(tree, mc, index) is True
             checked += 1
+
+
+def built_graphs(seed, count):
+    """Relation graphs of random corpora, both measures, as the pipeline builds them."""
+    rng = random.Random(seed)
+    alphabet = tuple(f"w{i}" for i in range(12))
+    graphs = []
+    while len(graphs) < count:
+        corpus = random_corpus(rng, max_docs=20, alphabet=alphabet)
+        term_tokens = random_present_term(rng, corpus, max_len=1)
+        if term_tokens is None:
+            continue
+        index = build_index(corpus)
+        lst = extract_snippets(index, Term(tuple(term_tokens)), window=rng.randint(1, 4))
+        ctx = build_context(lst, index)
+        measure = rng.choice(["jaccard", "doubleton_count"])
+        graphs.append((ctx, build_word_graph(ctx, index, measure)))
+    return graphs
+
+
+def hand_built_weights(rng, vertices, values):
+    """Weights on every sorted pair, each a fresh object drawn from ``values``.
+
+    Equal values are distinct objects, and the mapping is filled in a
+    shuffled pair order.
+    """
+    ordered = sorted(vertices)
+    pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]]
+    rng.shuffle(pairs)
+    return {pair: rng.choice(values)() for pair in pairs}
+
+
+TIE_VALUES = (
+    lambda: Fraction(1, 3),
+    lambda: Fraction(2, 6),
+    lambda: Fraction(0),
+    lambda: Fraction(7, 5),
+    lambda: 1,
+    lambda: 0,
+)
+
+
+class TestWordGraphValidation:
+    PAIR = "graph must carry exactly one weight per sorted vertex pair"
+    SIGN = "edge weights must be non-negative"
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({("a", "b"): Fraction(1), ("a", "c"): Fraction(1)}, PAIR),
+            ({("a", "b"): Fraction(1), ("a", "c"): Fraction(1), ("c", "b"): Fraction(1)}, PAIR),
+            ({("a", "b"): Fraction(1), ("a", "c"): Fraction(1), ("a", "z"): Fraction(1)}, PAIR),
+            ({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1, ("a", "z"): 1}, PAIR),
+            ({("a", "b"): Fraction(1), ("a", "c"): Fraction(-1, 2), ("b", "c"): Fraction(0)}, SIGN),
+            ({("a", "b"): 0, ("a", "c"): -1, ("b", "c"): 2}, SIGN),
+            ({("a", "b"): 0.5, ("a", "c"): Fraction(1), ("b", "c"): -0.25}, SIGN),
+        ],
+        ids=[
+            "missing-pair", "reversed-pair", "unknown-vertex", "extra-pair",
+            "negative", "negative-int", "negative-float",
+        ],
+    )
+    def test_bad_input_rejected_with_its_message(self, weights, message):
+        with pytest.raises(ValueError) as info:
+            WordGraph(vertices=("c", "a", "b"), weights=weights)
+        assert str(info.value) == message
+
+    def test_non_negative_float_weights_accepted(self):
+        graph = WordGraph(vertices=("a", "b", "c"), weights={("a", "b"): 0.5, ("a", "c"): 0.0, ("b", "c"): 2})
+        assert graph.edges() == [("a", "b", 0.5), ("a", "c", 0.0), ("b", "c", 2)]
+
+    def test_key_that_is_not_a_pair_rejected(self):
+        with pytest.raises(ValueError, match="sorted vertex pair"):
+            WordGraph(vertices=("a", "b"), weights={"ab": Fraction(1)})
+
+    def test_cluster_of_words_missing_from_graph_rejected(self):
+        ctx = context_of({"high": (Fraction(1, 2), 5), "ghost": (Fraction(1, 2), 1)})
+        graph = graph_of({("high", "low"): 1})
+        with pytest.raises(ValueError, match="sorted vertex pair"):
+            micro_cluster(graph, ctx, 0)
+
+
+class TestEdgeOrderAndDot:
+    def test_built_graphs_render_as_reference_dot(self):
+        for ctx, graph in built_graphs(71, 25):
+            edges = [(a, b, w) for (a, b), w in graph.weights.items()]
+            assert graph.edges() == sorted(edges, key=lambda e: (e[0], e[1]))
+            assert graph_to_dot(graph) == dot_text(graph.vertices, edges)
+            mc = micro_cluster(graph, ctx, 0)
+            tree = optimal_micro_cluster(mc)
+            assert tree_to_dot(tree) == dot_text(tree.vertices, tree.edges)
+
+    def test_hand_built_graphs_with_distinct_equal_weights_render_as_reference_dot(self):
+        rng = random.Random(83)
+        for n in range(1, 9):
+            vertices = tuple(f"v{i}" for i in rng.sample(range(20), n))
+            weights = hand_built_weights(rng, vertices, TIE_VALUES)
+            graph = WordGraph(vertices=vertices, weights=weights)
+            edges = list(weights.items())
+            assert graph.edges() == sorted((a, b, w) for (a, b), w in edges)
+            assert graph_to_dot(graph) == dot_text(sorted(vertices), [(a, b, w) for (a, b), w in edges])
+            tree = optimal_micro_cluster(MicroCluster(graph=graph, words=vertices, alpha=Fraction(0)))
+            assert tree_to_dot(tree) == dot_text(tree.vertices, tree.edges)
+
+    def test_induced_graph_holds_the_parent_weight_objects(self):
+        for ctx, graph in built_graphs(89, 15):
+            nus = sorted({stat.nu for stat in ctx.words.values()})
+            mc = micro_cluster(graph, ctx, nus[len(nus) // 2])
+            kept = set(mc.words)
+            expected = {pair: w for pair, w in graph.weights.items() if pair[0] in kept and pair[1] in kept}
+            assert mc.graph.weights == expected
+            assert all(mc.graph.weights[pair] is w for pair, w in expected.items())
+
+
+class TestTreeOrderMatchesReference:
+    def test_distinct_tie_objects_keep_reference_order(self):
+        rng = random.Random(97)
+        for _ in range(40):
+            vertices = tuple(f"v{i}" for i in range(rng.randint(1, 9)))
+            weights = hand_built_weights(rng, vertices, TIE_VALUES)
+            graph = WordGraph(vertices=vertices, weights=weights)
+            tree = optimal_micro_cluster(MicroCluster(graph=graph, words=vertices, alpha=Fraction(0)))
+            assert list(tree.edges) == kruskal_edges(vertices, weights)
+
+    def test_built_graphs_keep_reference_order(self):
+        for ctx, graph in built_graphs(101, 25):
+            mc = micro_cluster(graph, ctx, 0)
+            assert list(optimal_micro_cluster(mc).edges) == kruskal_edges(mc.graph.vertices, mc.graph.weights)
