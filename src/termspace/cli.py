@@ -31,6 +31,9 @@ from .engine import (
 from .jsonio import count_value, dump_json, rational_str
 from .microcluster import (
     MEASURES,
+    MicroCluster,
+    TreeCluster,
+    WordGraph,
     build_word_graph,
     graph_to_dict,
     graph_to_dot,
@@ -42,8 +45,8 @@ from .microcluster import (
     tree_to_dot,
     verify_theorem,
 )
-from .snippets import extract_snippets, snippets_to_dict
-from .triplet import build_context, context_to_dict
+from .snippets import SnippetList, extract_snippets, snippets_to_dict
+from .triplet import Context, build_context, context_to_dict
 
 PIPELINE_DEFAULT_DIR = "pipeline_out"
 # Every file a pipeline run can write. A run removes the ones it does not
@@ -64,91 +67,180 @@ class RunConfig:
     out: str | None = None
 
 
-# config-file key -> parsed-argument attribute
+# config-file key -> (parsed-argument attribute, accepted JSON value types)
 _CONFIG_KEYS = {
-    "corpus": "corpus",
-    "format": "corpus_format",
-    "window": "window",
-    "limit": "per_doc_limit",
-    "stopwords": "stopwords",
-    "alpha": "alpha",
-    "measure": "measure",
-    "bias_mode": "bias_mode",
-    "bias_magnitude": "bias_magnitude",
-    "seed": "seed",
-    "out": "out",
+    "corpus": ("corpus", (str,)),
+    "format": ("corpus_format", (str,)),
+    "window": ("window", (int,)),
+    "limit": ("per_doc_limit", (int,)),
+    "stopwords": ("stopwords", (str,)),
+    "alpha": ("alpha", (str, int, float)),
+    "measure": ("measure", (str,)),
+    "bias_mode": ("bias_mode", (str,)),
+    "bias_magnitude": ("bias_magnitude", (int, float)),
+    "seed": ("seed", (int,)),
+    "out": ("out", (str,)),
 }
+
+
+def _read_config(path: str) -> dict[str, object]:
+    """The config file's values by parsed-argument attribute; JSON null means unset."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        types = _CONFIG_KEYS[key][1]
+        # An exact type test, since JSON true and false load as bool, a subclass of int.
+        if value is not None and type(value) not in types:
+            names = " or ".join(t.__name__ for t in types)
+            raise ValueError(f"config key {key!r} must be {names}, got {json.dumps(value)}")
+    return {_CONFIG_KEYS[key][0]: value for key, value in raw.items() if value is not None}
+
+
+def _number(key: str, value: object, parse):
+    """``parse(value)``, or a ``ValueError`` naming ``key`` if it cannot."""
+    try:
+        return parse(value)
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"{key} must be a finite number, got {value!r}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file values and flags; explicit flags win."""
-    values: dict[str, object | None] = {attr: None for attr in _CONFIG_KEYS.values()}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, attr in _CONFIG_KEYS.items():
-            if key in raw:
-                values[attr] = raw[key]
-    for attr in values:
-        flag_value = getattr(args, attr, None)
-        if flag_value is not None:
-            values[attr] = flag_value
-    if not values["corpus"]:
+    values = _read_config(args.config) if args.config else {}
+    flags = {attr: getattr(args, attr, None) for attr, _ in _CONFIG_KEYS.values()}
+    values.update((attr, value) for attr, value in flags.items() if value is not None)
+    if not values.get("corpus"):
         raise ValueError("a corpus is required (--corpus or a config file)")
     return RunConfig(
-        corpus=str(values["corpus"]),
-        corpus_format=str(values["corpus_format"] or "txt_dir"),
-        window=int(values["window"]) if values["window"] is not None else 10,
-        per_doc_limit=int(values["per_doc_limit"]) if values["per_doc_limit"] is not None else 3,
-        stopwords=str(values["stopwords"]) if values["stopwords"] else None,
-        alpha=Fraction(str(values["alpha"])) if values["alpha"] is not None else Fraction(0),
-        measure=str(values["measure"] or "jaccard"),
+        corpus=values.get("corpus"),
+        corpus_format=values.get("corpus_format") or "txt_dir",
+        window=values.get("window", 10),
+        per_doc_limit=values.get("per_doc_limit", 3),
+        stopwords=values.get("stopwords") or None,
+        alpha=_number("alpha", values.get("alpha", 0), lambda v: Fraction(str(v))),
+        measure=values.get("measure") or "jaccard",
         bias=BiasConfig(
-            mode=str(values["bias_mode"] or "none"),
-            magnitude=float(values["bias_magnitude"] or 0.0),
-            seed=int(values["seed"] or 0),
+            mode=values.get("bias_mode") or "none",
+            magnitude=_number("bias_magnitude", values.get("bias_magnitude", 0.0), float),
+            seed=values.get("seed", 0),
         ),
-        out=str(values["out"]) if values["out"] else None,
+        out=values.get("out") or None,
     )
 
 
-def _load_index(cfg: RunConfig) -> Index:
-    return build_index(load_corpus(cfg.corpus, cfg.corpus_format))
+def _load_stopwords(path: str) -> frozenset[str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: stopwords file is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return frozenset(word for line in text.splitlines() for word in tokenize(line))
 
 
-def _load_stopwords(cfg: RunConfig) -> frozenset[str]:
-    if cfg.stopwords is None:
-        return frozenset()
-    words: set[str] = set()
-    for line in Path(cfg.stopwords).read_text(encoding="utf-8").splitlines():
-        words.update(tokenize(line))
-    return frozenset(words)
+def _write(text: str, out: str | Path | None = None) -> None:
+    """Write ``text`` to stdout, or to the file ``out``.
 
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        path = Path(out)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    A file is written to a temporary file beside it and renamed into
+    place, so a reader sees the old file or the new one, never a partial
+    write.
+    """
+    if out is None:
         sys.stdout.write(text)
+        return
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@dataclass
+class StageResult:
+    """The results of :func:`run_stages`; a stage that did not run is None."""
+
+    index: Index
+    snippets: SnippetList
+    context: Context | None = None
+    graph: WordGraph | None = None
+    cluster: MicroCluster | None = None
+    tree: TreeCluster | None = None
+
+
+def run_stages(cfg: RunConfig, term_text: str, last: str, lenient: bool = False) -> StageResult:
+    """Load the index and run snippets, context, graph, cluster and tree.
+
+    ``last`` is ``"snippets"``, ``"context"`` or ``"tree"``, the stage to
+    stop after. The tree is built only for a non-empty cluster. A context
+    that cannot be built (no snippets, or no word left after stopword
+    removal) raises ``ValueError``, or with ``lenient`` ends the run.
+    """
+    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
+    result = StageResult(index, extract_snippets(index, Term.parse(term_text), cfg.window, cfg.per_doc_limit))
+    if last == "snippets":
+        return result
+    stopwords = _load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
+    try:
+        result.context = build_context(result.snippets, index, stopwords)
+    except ValueError:
+        if lenient:
+            return result
+        raise
+    if last == "context":
+        return result
+    result.graph = build_word_graph(result.context, index, cfg.measure)
+    result.cluster = micro_cluster(result.graph, result.context, cfg.alpha)
+    if not result.cluster.is_empty:
+        result.tree = optimal_micro_cluster(result.cluster)
+    return result
+
+
+def _shades(result: StageResult) -> dict:
+    return {
+        "cluster": shade_to_dict(mirror_shade(result.cluster.words, result.index)),
+        "tree": shade_to_dict(mirror_shade(result.tree.words, result.index)),
+    }
+
+
+def _cluster_payload(result: StageResult) -> dict:
+    mc = result.cluster
+    return {
+        "graph": graph_to_dict(result.graph),
+        "cluster": {"alpha": rational_str(mc.alpha), "words": list(mc.words), "empty": mc.is_empty},
+        "tree": None if result.tree is None else tree_to_dict(result.tree),
+    }
+
+
+def _shade_payload(result: StageResult) -> dict:
+    shades = {"cluster": None, "tree": None} if result.tree is None else _shades(result)
+    return {"alpha": rational_str(result.cluster.alpha), "empty": result.tree is None, **shades}
+
+
+# command -> (last stage it runs, its stdout payload)
+_STAGE_COMMANDS = {
+    "snippets": ("snippets", lambda result: snippets_to_dict(result.snippets)),
+    "context": ("context", lambda result: context_to_dict(result.context)),
+    "cluster": ("tree", _cluster_payload),
+    "shade": ("tree", _shade_payload),
+}
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    index = _load_index(cfg)
+    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
     summary = {
         "documents": index.universe_size,
         "unique_tokens": len(index.postings),
         "total_tokens": index.total_tokens,
     }
-    _emit(dump_json(summary), cfg.out)
+    _write(dump_json(summary), cfg.out)
     return 0
 
 
@@ -156,7 +248,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if len(args.terms) not in (1, 2):
         raise ValueError("query takes one or two terms")
-    index = _load_index(cfg)
+    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
     terms = [Term.parse(raw) for raw in args.terms]
     if len(terms) == 1:
         payload: dict = {
@@ -170,161 +262,68 @@ def cmd_query(args: argparse.Namespace) -> int:
             "counts": [count_value(hit_count(singleton(index, t), cfg.bias)) for t in terms],
             "doubleton": count_value(hit_count(both, cfg.bias)),
         }
-    _emit(dump_json(payload), cfg.out)
+    _write(dump_json(payload), cfg.out)
     return 0
 
 
-def cmd_snippets(args: argparse.Namespace) -> int:
+def cmd_stage(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    index = _load_index(cfg)
-    snippet_list = extract_snippets(index, Term.parse(args.term), cfg.window, cfg.per_doc_limit)
-    _emit(dump_json(snippets_to_dict(snippet_list)), cfg.out)
-    return 0
-
-
-def cmd_context(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    index = _load_index(cfg)
-    snippet_list = extract_snippets(index, Term.parse(args.term), cfg.window, cfg.per_doc_limit)
-    ctx = build_context(snippet_list, index, _load_stopwords(cfg))
-    _emit(dump_json(context_to_dict(ctx)), cfg.out)
-    return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    index = _load_index(cfg)
-    snippet_list = extract_snippets(index, Term.parse(args.term), cfg.window, cfg.per_doc_limit)
-    ctx = build_context(snippet_list, index, _load_stopwords(cfg))
-    graph = build_word_graph(ctx, index, cfg.measure)
-    mc = micro_cluster(graph, ctx, cfg.alpha)
-    payload = {
-        "graph": graph_to_dict(graph),
-        "cluster": {
-            "alpha": rational_str(mc.alpha),
-            "words": list(mc.words),
-            "empty": mc.is_empty,
-        },
-        "tree": tree_to_dict(optimal_micro_cluster(mc)) if not mc.is_empty else None,
-    }
-    _emit(dump_json(payload), cfg.out)
-    return 0
-
-
-def cmd_shade(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    index = _load_index(cfg)
-    snippet_list = extract_snippets(index, Term.parse(args.term), cfg.window, cfg.per_doc_limit)
-    ctx = build_context(snippet_list, index, _load_stopwords(cfg))
-    graph = build_word_graph(ctx, index, cfg.measure)
-    mc = micro_cluster(graph, ctx, cfg.alpha)
-    if mc.is_empty:
-        payload = {"alpha": rational_str(mc.alpha), "empty": True, "cluster": None, "tree": None}
-    else:
-        tree = optimal_micro_cluster(mc)
-        payload = {
-            "alpha": rational_str(mc.alpha),
-            "empty": False,
-            "cluster": shade_to_dict(mirror_shade(mc.words, index)),
-            "tree": shade_to_dict(mirror_shade(tree.words, index)),
-        }
-    _emit(dump_json(payload), cfg.out)
+    last, payload = _STAGE_COMMANDS[args.command]
+    _write(dump_json(payload(run_stages(cfg, args.term, last))), cfg.out)
     return 0
 
 
 def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
-    """Run extraction through the theorem check and collect the artifacts.
+    """Run every stage and the theorem check and collect the artifacts.
 
     Returns the report and a name-to-text map of the files to write.
     Empty intermediate stages are reported, never fatal.
     """
-    index = _load_index(cfg)
-    term = Term.parse(term_text)
-    artifacts: dict[str, str] = {}
-    stages: dict[str, object] = {
-        "snippets": None,
-        "context": None,
-        "cluster": None,
-        "tree": None,
-        "shade": None,
-    }
-    theorem: bool | None = None
-
-    snippet_list = extract_snippets(index, term, cfg.window, cfg.per_doc_limit)
-    artifacts["snippets.json"] = dump_json(snippets_to_dict(snippet_list))
-    stages["snippets"] = {"count": snippet_list.n, "empty": snippet_list.n == 0}
-
-    ctx = None
-    if snippet_list.n:
-        try:
-            ctx = build_context(snippet_list, index, _load_stopwords(cfg))
-        except ValueError:
-            ctx = None
-    if ctx is None:
-        stages["context"] = {"words": 0, "empty": True}
-        stages["cluster"] = {"retained": 0, "empty": True}
-    else:
-        stages["context"] = {"words": len(ctx.words), "empty": False}
+    result = run_stages(cfg, term_text, "tree", lenient=True)
+    snippets, ctx, mc, tree = result.snippets, result.context, result.cluster, result.tree
+    artifacts = {"snippets.json": dump_json(snippets_to_dict(snippets))}
+    if ctx is not None:
         artifacts["context.json"] = dump_json(context_to_dict(ctx))
-        graph = build_word_graph(ctx, index, cfg.measure)
-        artifacts["graph.dot"] = graph_to_dot(graph)
-        mc = micro_cluster(graph, ctx, cfg.alpha)
-        stages["cluster"] = {"retained": len(mc.words), "empty": mc.is_empty}
-        if not mc.is_empty:
-            tree = optimal_micro_cluster(mc)
-            artifacts["tree.dot"] = tree_to_dot(tree)
-            stages["tree"] = {
-                "vertices": len(tree.vertices),
-                "edges": len(tree.edges),
-                "components": tree.component_count,
-            }
-            cluster_shade = mirror_shade(mc.words, index)
-            tree_shade = mirror_shade(tree.words, index)
-            artifacts["shade.json"] = dump_json(
-                {"cluster": shade_to_dict(cluster_shade), "tree": shade_to_dict(tree_shade)}
-            )
-            stages["shade"] = {"z": cluster_shade.z}
-            theorem = verify_theorem(tree, mc, index)
-
+        artifacts["graph.dot"] = graph_to_dot(result.graph)
+    if tree is not None:
+        artifacts["tree.dot"] = tree_to_dot(tree)
+        shades = _shades(result)
+        artifacts["shade.json"] = dump_json(shades)
     report = {
-        "term": term.text,
+        "term": snippets.term.text,
         "config": {
             "window": cfg.window,
             "per_doc_limit": cfg.per_doc_limit,
             "alpha": rational_str(cfg.alpha),
             "measure": cfg.measure,
         },
-        "stages": stages,
-        "theorem_check": theorem,
+        "stages": {
+            "snippets": {"count": snippets.n, "empty": snippets.n == 0},
+            "context": {"words": 0 if ctx is None else len(ctx.words), "empty": ctx is None},
+            "cluster": {"retained": 0 if mc is None else len(mc.words), "empty": mc is None or mc.is_empty},
+            "tree": None if tree is None else {
+                "vertices": len(tree.vertices),
+                "edges": len(tree.edges),
+                "components": tree.component_count,
+            },
+            "shade": None if tree is None else {"z": shades["cluster"]["z"]},
+        },
+        "theorem_check": None if tree is None else verify_theorem(tree, mc, result.index),
         "artifacts": sorted(artifacts) + ["report.json"],
     }
     artifacts["report.json"] = dump_json(report)
     return report, artifacts
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    # A reader sees the old file or the new one, never a partial write.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out_dir = Path(cfg.out or PIPELINE_DEFAULT_DIR)
-    report, artifacts = run_pipeline(cfg, args.term)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in _ARTIFACT_NAMES:
-        if name not in artifacts:
-            (out_dir / name).unlink(missing_ok=True)
+    _, artifacts = run_pipeline(cfg, args.term)
+    for name in set(_ARTIFACT_NAMES).difference(artifacts):
+        (out_dir / name).unlink(missing_ok=True)
     for name, text in artifacts.items():
-        _write_atomic(out_dir / name, text)
-    sys.stdout.write(dump_json(report))
+        _write(text, out_dir / name)
+    _write(artifacts["report.json"])
     return 0
 
 
@@ -362,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     for name, func, help_text in (
-        ("snippets", cmd_snippets, "extract word windows around a term"),
-        ("context", cmd_context, "build the weighted word set of a term"),
-        ("cluster", cmd_cluster, "build the relation graph, threshold cluster, and tree"),
-        ("shade", cmd_shade, "export the shade vectors of the cluster and its tree"),
+        ("snippets", cmd_stage, "extract word windows around a term"),
+        ("context", cmd_stage, "build the weighted word set of a term"),
+        ("cluster", cmd_stage, "build the relation graph, threshold cluster, and tree"),
+        ("shade", cmd_stage, "export the shade vectors of the cluster and its tree"),
         ("pipeline", cmd_pipeline, "run every stage and write the artifact bundle"),
     ):
         p = sub.add_parser(name, parents=[shared], help=help_text)

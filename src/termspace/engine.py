@@ -42,15 +42,13 @@ def tokenize(text: str) -> list[str]:
 class Term:
     """An ordered word pattern used as a query.
 
-    ``tokens`` is the word sequence; ``size`` is the declared parameter
-    count and defaults to the token count. Matching is positional: a
-    document matches when the tokens appear as a contiguous subsequence.
+    ``tokens`` is the word sequence. Matching is positional: a document
+    matches when the tokens appear as a contiguous subsequence.
     Every token must be a fixed point of :func:`tokenize` (one lowercase
     alphanumeric word), since no other token can occur in an index.
     """
 
     tokens: tuple[str, ...]
-    size: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -64,17 +62,11 @@ class Term:
             # For a lowercase token this is ``tokenize(tok) == [tok]``.
             if not _TOKEN.fullmatch(tok):
                 raise ValueError(f"term tokens must be single alphanumeric words: {tok!r}")
-        if self.size is None:
-            object.__setattr__(self, "size", len(self.tokens))
-        elif self.size < len(self.tokens):
-            raise ValueError(
-                f"term size {self.size} is smaller than its {len(self.tokens)} tokens"
-            )
 
     @classmethod
-    def parse(cls, text: str, size: int | None = None) -> "Term":
+    def parse(cls, text: str) -> "Term":
         """Build a term by tokenizing ``text``."""
-        return cls(tuple(tokenize(text)), size)
+        return cls(tuple(tokenize(text)))
 
     @property
     def text(self) -> str:
@@ -180,11 +172,7 @@ def occurrence_positions(haystack: Sequence[str], needle: Sequence[str]) -> list
 
 def contains_phrase(haystack: Sequence[str], needle: Sequence[str]) -> bool:
     """True when ``needle`` occurs contiguously inside ``haystack``."""
-    n, m = len(haystack), len(needle)
-    if m == 0 or m > n:
-        return False
-    target = tuple(needle)
-    return any(tuple(haystack[i : i + m]) == target for i in range(n - m + 1))
+    return bool(occurrence_positions(haystack, needle))
 
 
 def _coerce_term(term: Term | str) -> Term:

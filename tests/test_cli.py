@@ -226,6 +226,84 @@ class TestConfigFile:
         assert out == ""
         assert err == f"error: {config}: config must be a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("window", 1.5),
+            ("window", True),
+            ("window", "4"),
+            ("limit", 2.9),
+            ("seed", 2.7),
+            ("seed", False),
+            ("bias_magnitude", True),
+            ("bias_magnitude", "3"),
+            ("alpha", True),
+            ("alpha", [1]),
+            ("stopwords", 5),
+        ],
+    )
+    def test_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus), key: value}), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["snippets", "--config", str(config), "rock"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: config key '{key}' must be ") and err.count("\n") == 1
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("alpha", ["1/0", "abc", "nan", "inf"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_bad_alpha_is_one_error_line_naming_alpha(self, tmp_path, capsys, alpha, form):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        if form == "flag":
+            argv = ["cluster", "--corpus", str(corpus), "--alpha", alpha, "rock"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"corpus": str(corpus), "alpha": alpha}), encoding="utf-8")
+            argv = ["cluster", "--config", str(config), "rock"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: alpha ") and err.count("\n") == 1
+        assert repr(alpha) in err
+
+    def test_alpha_from_config_number_equals_flag_fraction(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus), "alpha": 0.25}), encoding="utf-8")
+        _, from_config, _ = run_cli(capsys, ["cluster", "--config", str(config), "rock"])
+        _, from_flag, _ = run_cli(capsys, ["cluster", "--corpus", str(corpus), "--alpha", "1/4", "rock"])
+        assert from_config == from_flag and json.loads(from_flag)["cluster"]["alpha"] == "0.25"
+
+
+class TestStopwordsFile:
+    @pytest.mark.parametrize("command", ["context", "cluster", "shade", "pipeline"])
+    @pytest.mark.parametrize("term", ["rock", "unseen"])
+    def test_undecodable_file_is_one_error_line_naming_it(self, tmp_path, capsys, command, term):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_bytes(b"\xff\xfe")
+        out_dir = tmp_path / "bundle"
+        code, out, err = run_cli(
+            capsys,
+            [command, "--corpus", str(corpus), "--stopwords", str(stopwords), "--out", str(out_dir), term],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {stopwords}: ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["context", "pipeline"])
+    def test_missing_file_is_one_error_line_naming_it(self, tmp_path, capsys, command):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        missing = tmp_path / "absent.txt"
+        code, out, err = run_cli(
+            capsys,
+            [command, "--corpus", str(corpus), "--stopwords", str(missing), "--out", str(tmp_path / "o"), "unseen"],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
 
 class TestBiasMagnitude:
     @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
@@ -252,6 +330,14 @@ class TestBiasMagnitude:
         assert code == 1
         assert out == ""
         assert err == "error: bias magnitude must be finite, got nan\n"
+
+    def test_magnitude_beyond_float_range_in_config_rejected(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus), "bias_magnitude": 10**400}), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["query", "--config", str(config), "rock"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bias_magnitude must be a finite number, got 1000") and err.count("\n") == 1
 
     def test_overflowing_multiplicative_count_is_one_error_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, {f"d{i:02d}": "harbor pier" for i in range(40)})
@@ -440,6 +526,66 @@ def test_bundle_digests_match_recorded(tmp_path, capsys, term):
     assert code == 0, err
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
     assert digests == expected
+
+
+# SHA-256 of the output of the one-result commands on ``golden_corpus()``,
+# recorded while each command still ran its own copy of the stage chain.
+# ``--alpha 99`` gives an empty cluster.
+GOLDEN_OUTPUTS = [
+    (["index"], "7e8d8fb1865557fec8bc306463f266b5635ed65bd67ae5cf7139060b7447e62a"),
+    (["query", "pivot"], "cdc8dcec9a1f332f6fed12bf23e6ae4bfa718e16cbff8e7a698f4c9ebd8f71fa"),
+    (["query", "stone river", "harbor"], "39ff00499864bc45da292501853d51a3801b20763663f084beeac4d17f219164"),
+    (
+        ["query", "--bias-mode", "multiplicative", "--bias-magnitude", "0.5", "--seed", "3", "pivot", "cedar"],
+        "3377668020c36737df3e18cc2ef0f108a26c7c3577fe8c725b33d25badae9968",
+    ),
+    (["snippets", "--window", "4", "pivot"], "147efaa13b14bf0a7565cf49021a6e980022bc0a3ba2fd8de4236bf0531ec3cc"),
+    (
+        ["snippets", "--window", "3", "--limit", "2", "stone river"],
+        "7c00d707b1c2e3636da0234466667f5b3453fee69a4f8962f5eecc19875e232c",
+    ),
+    (["context", "pivot"], "0c83b9bba1039c083bf1b3447ced97850d51e47c3a0eb68ab82526a728f9f975"),
+    (
+        ["context", "--window", "4", "--stopwords", "STOPWORDS", "pivot"],
+        "8de53ab82eb1913284f14dbbe0552542008bef78d668415aab5908b62688be44",
+    ),
+    (
+        ["cluster", "--window", "3", "--limit", "2", "--alpha", "1/4", "stone river"],
+        "f660e2122f47a1b77acd23a88c3b9c6f0442475146ef677b39c7eeeba79d804c",
+    ),
+    (
+        ["cluster", "--measure", "doubleton_count", "--alpha", "2", "--stopwords", "STOPWORDS", "pivot"],
+        "13dc19768c247af9703687015da8a157c7c2ad271fa7fd3d021ed2ad7ef219de",
+    ),
+    (["cluster", "--alpha", "99", "pivot"], "a208dae218bb19c0d368cd0448f78786c29c43c40fbe1271d2d41634d3540605"),
+    (
+        ["shade", "--window", "4", "--alpha", "0.05", "pivot"],
+        "765829f5b6f496caf85ada71eaa5b57070de1d9e1421f5efe6130423aedf888d",
+    ),
+    (
+        ["shade", "--measure", "doubleton_count", "--alpha", "1", "--stopwords", "STOPWORDS", "stone river"],
+        "c455edaa7cdae96fd7ec196d2298ded079491c8d6e8a0c7349d813841f5175dc",
+    ),
+    (["shade", "--alpha", "99", "pivot"], "fb4981042b76c57ff7be0ab0c184dcf480c56dc609d07f14790359187572c48d"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_OUTPUTS, ids=[" ".join(a) for a, _ in GOLDEN_OUTPUTS])
+def test_command_output_digests_match_recorded(tmp_path, capsys, argv, expected):
+    corpus = write_corpus(tmp_path, golden_corpus())
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("the\nof\nand\na\n", encoding="utf-8")
+    command, *rest = [str(stopwords) if a == "STOPWORDS" else a for a in argv]
+    code, out, err = run_cli(capsys, [command, "--corpus", str(corpus), *rest])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+    # ``--out`` writes the same bytes and leaves no temporary file behind.
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, [command, "--corpus", str(corpus), "--out", str(out_dir / "r.json"), *rest])
+    assert (code, out) == (0, "")
+    assert [p.name for p in out_dir.iterdir()] == ["r.json"]
+    assert hashlib.sha256((out_dir / "r.json").read_bytes()).hexdigest() == expected
 
 
 def test_module_entry_point(tmp_path):

@@ -70,17 +70,6 @@ class TestTokenize:
 
 
 class TestTerm:
-    def test_size_defaults_to_token_count(self):
-        t = Term(("alpha", "beta"))
-        assert t.size == 2
-
-    def test_declared_size_may_exceed_token_count(self):
-        assert Term(("alpha",), size=3).size == 3
-
-    def test_size_below_token_count_rejected(self):
-        with pytest.raises(ValueError):
-            Term(("alpha", "beta"), size=1)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Term(())
