@@ -85,7 +85,10 @@ _CONFIG_KEYS = {
 
 def _read_config(path: str) -> dict[str, object]:
     """The config file's values by parsed-argument attribute; JSON null means unset."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"{path}: invalid JSON config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -182,6 +185,9 @@ def run_stages(cfg: RunConfig, term_text: str, last: str, lenient: bool = False)
     that cannot be built (no snippets, or no word left after stopword
     removal) raises ``ValueError``, or with ``lenient`` ends the run.
     """
+    # Checked here as well, so the message names the config key and flag.
+    if cfg.per_doc_limit < 1:
+        raise ValueError(f"limit must be at least 1, got {cfg.per_doc_limit}")
     index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
     result = StageResult(index, extract_snippets(index, Term.parse(term_text), cfg.window, cfg.per_doc_limit))
     if last == "snippets":

@@ -179,32 +179,33 @@ def _coerce_term(term: Term | str) -> Term:
     return term if isinstance(term, Term) else Term.parse(term)
 
 
-def _doc_matches(index: Index, doc_id: str, tokens: tuple[str, ...]) -> bool:
-    # Positional check for multi-token terms using the postings only.
-    first = index.postings[tokens[0]][doc_id]
-    rest: list[set[int]] = []
-    for tok in tokens[1:]:
-        positions = index.postings.get(tok, {}).get(doc_id)
-        if positions is None:
-            return False
-        rest.append(set(positions))
-    return any(
-        all(p + offset in s for offset, s in enumerate(rest, start=1)) for p in first
-    )
+def _phrase_starts(postings: Sequence[Mapping[str, tuple[int, ...]]], doc_id: str) -> set[int]:
+    """Positions ``s`` in ``doc_id`` with token ``k`` of ``postings`` at ``s + k``, for every ``k``."""
+    starts = set(postings[0][doc_id])
+    for k in range(1, len(postings)):
+        starts.intersection_update(map(k.__rsub__, postings[k][doc_id]))
+    return starts
 
 
 def singleton(index: Index, term: Term | str) -> EventSet:
     """Documents containing ``term`` as a contiguous phrase.
 
-    A term absent everywhere yields an empty event set.
+    A phrase matches where every token occurs with the positions lined up
+    (a positional intersect). A term absent everywhere yields an empty set.
     """
     t = _coerce_term(term)
-    first = index.postings.get(t.tokens[0])
-    if first is None:
+    postings = [index.postings.get(tok) for tok in t.tokens]
+    if None in postings:
         return EventSet(frozenset())
-    if len(t.tokens) == 1:
-        return EventSet(frozenset(first))
-    hits = {doc_id for doc_id in first if _doc_matches(index, doc_id, t.tokens)}
+    if len(postings) == 1:
+        return EventSet(frozenset(postings[0]))
+    candidates = postings[0].keys() & postings[1].keys()
+    for docs in postings[2:]:
+        candidates &= docs.keys()
+    *head, last = postings
+    shift = len(head).__rsub__
+    # ``isdisjoint`` stops at the first aligned position of the last token.
+    hits = [d for d in candidates if not _phrase_starts(head, d).isdisjoint(map(shift, last[d]))]
     return EventSet(frozenset(hits))
 
 
@@ -258,36 +259,60 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
 
     The file stem becomes the document id. Files are taken in sorted name
     order so the resulting index is a pure function of the directory
-    contents.
+    contents. A file that is not UTF-8 is rejected by name and line.
     """
     p = Path(path)
     if not p.is_dir():
         raise ValueError(f"corpus directory not found: {p}")
-    return [(f.stem, f.read_text(encoding="utf-8")) for f in sorted(p.glob("*.txt"))]
+    pairs: list[tuple[str, str]] = []
+    for f in sorted(p.glob("*.txt")):
+        try:
+            pairs.append((f.stem, f.read_text(encoding="utf-8")))
+        except UnicodeDecodeError:
+            raise ValueError(_not_utf8(f)) from None
+    return pairs
 
 
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus from a JSON-lines file of ``{"id": ..., "text": ...}`` objects.
 
-    Blank lines are skipped. A malformed line is rejected with its line
-    number.
+    Blank lines are skipped. A malformed line, or one that is not UTF-8,
+    is rejected with its line number.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"corpus file not found: {p}")
     pairs: list[tuple[str, str]] = []
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{p}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ValueError(f'{p}:{lineno}: expected an object with "id" and "text"')
-            pairs.append((str(obj["id"]), str(obj["text"])))
+    try:
+        with p.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{p}:{lineno}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+                    raise ValueError(f'{p}:{lineno}: expected an object with "id" and "text"')
+                pairs.append((str(obj["id"]), str(obj["text"])))
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(p)) from None
     return pairs
+
+
+def _not_utf8(path: Path) -> str:
+    """The error for a file that is not UTF-8, naming its first bad line and byte.
+
+    A text-mode reader decodes ahead of its line and reports offsets into
+    its buffer, so the file is decoded again here as a whole.
+    """
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        return f"{path}:{lineno}: corpus file is not UTF-8 ({exc.reason} at byte {exc.start})"
+    return f"{path}: corpus file is not UTF-8"
 
 
 def load_corpus(path: str | Path, corpus_format: str) -> list[tuple[str, str]]:

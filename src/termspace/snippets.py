@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Index, Term, _coerce_term, occurrence_positions, singleton
+from .engine import Index, Term, _coerce_term, _phrase_starts, occurrence_positions, singleton
 
 MAX_WINDOW = 50
 
@@ -86,10 +86,13 @@ def extract_snippets(
     if per_doc_limit < 1:
         raise ValueError(f"per_doc_limit must be at least 1, got {per_doc_limit}")
     t = _coerce_term(term)
+    # Every token is present whenever the event is non-empty.
+    postings = [index.postings.get(tok) for tok in t.tokens]
     collected: list[Snippet] = []
     for doc_id in sorted(singleton(index, t).doc_ids):
         doc_tokens = index.documents[doc_id].tokens
-        for pos in occurrence_positions(doc_tokens, t.tokens)[:per_doc_limit]:
+        starts = postings[0][doc_id] if len(postings) == 1 else sorted(_phrase_starts(postings, doc_id))
+        for pos in starts[:per_doc_limit]:
             start = max(0, pos - window)
             end = min(len(doc_tokens), pos + len(t.tokens) + window)
             words = doc_tokens[start:end]

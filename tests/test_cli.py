@@ -78,6 +78,20 @@ class TestIndexCommand:
         assert out == ""
         assert ":2:" in err
 
+    def test_undecodable_txt_file_is_one_error_line_naming_it(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        (corpus / "bad.txt").write_bytes(b"rock\ngravel \xff\xfe")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {corpus / 'bad.txt'}:2: corpus file is not UTF-8 (invalid start byte at byte 12)\n"
+
+    def test_undecodable_jsonl_line_is_one_error_line_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b'{"id": "a", "text": "x"}\n{"id": "b", "text": "\xff"}\n')
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(path), "--format", "jsonl"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:2: corpus file is not UTF-8 (invalid start byte at byte 46)\n"
+
     def test_missing_corpus_flag(self, capsys):
         code, _, err = run_cli(capsys, ["index"])
         assert code == 1
@@ -225,6 +239,29 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err == f"error: {config}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b'{"corpus": ', "Expecting value: line 1 column 12 (char 11)"),
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+    )
+    def test_invalid_json_config_is_one_error_line_naming_it(self, tmp_path, capsys, data, reason):
+        config = tmp_path / "bad.json"
+        config.write_bytes(data)
+        code, out, err = run_cli(capsys, ["index", "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: invalid JSON config: {reason}\n"
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_limit_below_one_is_one_error_line_naming_limit(self, tmp_path, capsys, form):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus), "limit": 0}), encoding="utf-8")
+        argv = ["--corpus", str(corpus), "--limit", "0"] if form == "flag" else ["--config", str(config)]
+        code, out, err = run_cli(capsys, ["snippets", *argv, "rock"])
+        assert (code, out, err) == (1, "", "error: limit must be at least 1, got 0\n")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -538,6 +575,12 @@ GOLDEN_OUTPUTS = [
     (
         ["query", "--bias-mode", "multiplicative", "--bias-magnitude", "0.5", "--seed", "3", "pivot", "cedar"],
         "3377668020c36737df3e18cc2ef0f108a26c7c3577fe8c725b33d25badae9968",
+    ),
+    (["query", "pivot stone river"], "4287b257d89df8443cd1400a69f270df1ae0e4308ed34d5190e624d9b63be2d7"),
+    (["query", "pivot pivot pivot"], "447e4b98e37f059c5a10ac7ff1dceca4e4f131675a034a76bc2a6b0501a1693e"),
+    (
+        ["query", "--bias-mode", "multiplicative", "--bias-magnitude", "0.5", "--seed", "3", "pivot stone", "stone river"],
+        "8704be202355de1ba84f97ca8f8e449047437f88062c73a03d9b0125010fea27",
     ),
     (["snippets", "--window", "4", "pivot"], "147efaa13b14bf0a7565cf49021a6e980022bc0a3ba2fd8de4236bf0531ec3cc"),
     (

@@ -14,12 +14,13 @@ from termspace import (
     Term,
     build_index,
     doubleton,
+    extract_snippets,
     hit_count,
     singleton,
     tokenize,
 )
 
-from oracles import brute_doubleton, brute_singleton, loop_tokenize, scan_tokenize
+from oracles import brute_doubleton, brute_singleton, loop_tokenize, scan_tokenize, window_snippets
 
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
 DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
@@ -212,6 +213,32 @@ class TestDoubleton:
             assert got == brute_doubleton(corpus, ["w0"], ["w1"])
 
 
+def test_phrases_with_repeated_and_absent_tokens_match_oracles():
+    # Three words make repeated-token phrases (w0 w0, w0 w1 w0) common;
+    # w9 never occurs, so some phrases hold an absent token.
+    rng = random.Random(53)
+    from conftest import random_corpus
+
+    def phrase():
+        return [rng.choice(("w0", "w1", "w2", "w0", "w1", "w2", "w9")) for _ in range(rng.randint(1, 4))]
+
+    for _ in range(60):
+        corpus = random_corpus(rng, max_tokens=40, alphabet=("w0", "w1", "w2"))
+        index = build_index(corpus)
+        for _ in range(8):
+            tokens = phrase()
+            term = Term(tuple(tokens))
+            assert singleton(index, term).doc_ids == brute_singleton(corpus, tokens)
+            window, limit = rng.randint(1, 4), rng.randint(1, 3)
+            got = extract_snippets(index, term, window, limit)
+            assert [(s.doc_id, list(s.words)) for s in got.snippets] == window_snippets(corpus, tokens, window, limit)
+            # The phrase paired with one of its own tokens, and with another phrase.
+            for other in ([rng.choice(tokens)], phrase()):
+                if other != tokens:
+                    got = doubleton(index, term, Term(tuple(other))).doc_ids
+                    assert got == brute_doubleton(corpus, tokens, other)
+
+
 class TestCorpusLoaders:
     def test_txt_dir_uses_file_stems(self, tmp_path):
         from termspace import load_corpus_dir
@@ -243,6 +270,15 @@ class TestCorpusLoaders:
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": "D1", "text": "ok"}\n{broken\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
+            load_corpus_jsonl(path)
+
+    def test_jsonl_undecodable_line_reports_line_number(self, tmp_path):
+        from termspace import load_corpus_jsonl
+
+        # Past a text-mode reader's first buffer, whose offsets would not locate the byte.
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b'{"id": "D1", "text": "ok"}\n' * 2000 + b'{"id": "D2", "text": "\xfe"}\n')
+        with pytest.raises(ValueError, match="docs.jsonl:2001: corpus file is not UTF-8"):
             load_corpus_jsonl(path)
 
     def test_jsonl_missing_field_reports_line_number(self, tmp_path):
