@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +56,8 @@ _ARTIFACT_NAMES = ("snippets.json", "context.json", "graph.dot", "tree.dot", "sh
 
 @dataclass
 class RunConfig:
+    """One run's settings, with the CLI's only defaults; ``alpha`` and ``bias_magnitude`` are parsed here."""
+
     corpus: str
     corpus_format: str = "txt_dir"
     window: int = 10
@@ -63,8 +65,19 @@ class RunConfig:
     stopwords: str | None = None
     alpha: Fraction = Fraction(0)
     measure: str = "jaccard"
-    bias: BiasConfig = BiasConfig()
+    bias_mode: str = "none"
+    bias_magnitude: float = 0.0
+    seed: int = 0
     out: str | None = None
+    bias: BiasConfig = field(init=False)
+
+    def __post_init__(self) -> None:
+        for key, parse in (("alpha", lambda v: Fraction(str(v))), ("bias_magnitude", float)):
+            try:
+                setattr(self, key, parse(getattr(self, key)))
+            except (ArithmeticError, ValueError):
+                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}") from None
+        self.bias = BiasConfig(self.bias_mode, self.bias_magnitude, self.seed)
 
 
 # config-file key -> (parsed-argument attribute, accepted JSON value types)
@@ -103,36 +116,19 @@ def _read_config(path: str) -> dict[str, object]:
     return {_CONFIG_KEYS[key][0]: value for key, value in raw.items() if value is not None}
 
 
-def _number(key: str, value: object, parse):
-    """``parse(value)``, or a ``ValueError`` naming ``key`` if it cannot."""
-    try:
-        return parse(value)
-    except (ArithmeticError, ValueError):
-        raise ValueError(f"{key} must be a finite number, got {value!r}") from None
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and flags; explicit flags win."""
+    """Merge config-file values and flags; explicit flags win.
+
+    Only the settings given are passed on, so every default is
+    :class:`RunConfig`'s. An empty string counts as unset, except for
+    ``alpha``, where it is a malformed number.
+    """
     values = _read_config(args.config) if args.config else {}
-    flags = {attr: getattr(args, attr, None) for attr, _ in _CONFIG_KEYS.values()}
-    values.update((attr, value) for attr, value in flags.items() if value is not None)
-    if not values.get("corpus"):
+    values.update((attr, flag) for attr, _ in _CONFIG_KEYS.values() if (flag := getattr(args, attr)) is not None)
+    values = {attr: value for attr, value in values.items() if value != "" or attr == "alpha"}
+    if "corpus" not in values:
         raise ValueError("a corpus is required (--corpus or a config file)")
-    return RunConfig(
-        corpus=values.get("corpus"),
-        corpus_format=values.get("corpus_format") or "txt_dir",
-        window=values.get("window", 10),
-        per_doc_limit=values.get("per_doc_limit", 3),
-        stopwords=values.get("stopwords") or None,
-        alpha=_number("alpha", values.get("alpha", 0), lambda v: Fraction(str(v))),
-        measure=values.get("measure") or "jaccard",
-        bias=BiasConfig(
-            mode=values.get("bias_mode") or "none",
-            magnitude=_number("bias_magnitude", values.get("bias_magnitude", 0.0), float),
-            seed=values.get("seed", 0),
-        ),
-        out=values.get("out") or None,
-    )
+    return RunConfig(**values)
 
 
 def _load_stopwords(path: str) -> frozenset[str]:
@@ -170,38 +166,40 @@ class StageResult:
     """The results of :func:`run_stages`; a stage that did not run is None."""
 
     index: Index
-    snippets: SnippetList
+    snippets: SnippetList | None = None
     context: Context | None = None
     graph: WordGraph | None = None
     cluster: MicroCluster | None = None
     tree: TreeCluster | None = None
 
 
-def run_stages(cfg: RunConfig, term_text: str, last: str, lenient: bool = False) -> StageResult:
+def run_stages(cfg: RunConfig, term_text: str | None, last: str, lenient: bool = False) -> StageResult:
     """Load the index and run snippets, context, graph, cluster and tree.
 
-    ``last`` is ``"snippets"``, ``"context"`` or ``"tree"``, the stage to
-    stop after. The tree is built only for a non-empty cluster. A context
-    that cannot be built (no snippets, or no word left after stopword
-    removal) raises ``ValueError``, or with ``lenient`` ends the run.
+    ``last`` is the stage to stop after: ``"index"`` (no term needed),
+    ``"snippets"``, ``"context"`` or ``"tree"`` (built only for a non-empty
+    cluster). A context that cannot be built (no snippets, or no word left
+    after stopword removal) raises ``ValueError``, or with ``lenient`` ends the run.
     """
-    # Checked here as well, so the message names the config key and flag.
-    if cfg.per_doc_limit < 1:
+    # Checked here as well, before the corpus is read, so the message names the config key and flag.
+    if last != "index" and cfg.per_doc_limit < 1:
         raise ValueError(f"limit must be at least 1, got {cfg.per_doc_limit}")
-    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
-    result = StageResult(index, extract_snippets(index, Term.parse(term_text), cfg.window, cfg.per_doc_limit))
+    result = StageResult(build_index(load_corpus(cfg.corpus, cfg.corpus_format)))
+    if last == "index":
+        return result
+    result.snippets = extract_snippets(result.index, Term.parse(term_text), cfg.window, cfg.per_doc_limit)
     if last == "snippets":
         return result
     stopwords = _load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
     try:
-        result.context = build_context(result.snippets, index, stopwords)
+        result.context = build_context(result.snippets, result.index, stopwords)
     except ValueError:
         if lenient:
             return result
         raise
     if last == "context":
         return result
-    result.graph = build_word_graph(result.context, index, cfg.measure)
+    result.graph = build_word_graph(result.context, result.index, cfg.measure)
     result.cluster = micro_cluster(result.graph, result.context, cfg.alpha)
     if not result.cluster.is_empty:
         result.tree = optimal_micro_cluster(result.cluster)
@@ -215,7 +213,25 @@ def _shades(result: StageResult) -> dict:
     }
 
 
-def _cluster_payload(result: StageResult) -> dict:
+def _index_payload(result: StageResult, *_) -> dict:
+    index = result.index
+    return {"documents": index.universe_size, "unique_tokens": len(index.postings),
+            "total_tokens": index.total_tokens}
+
+
+def _query_payload(result: StageResult, args: argparse.Namespace, cfg: RunConfig) -> dict:
+    index, terms = result.index, [Term.parse(raw) for raw in args.terms]
+    if len(terms) == 1:
+        return {"term": terms[0].text, "count": count_value(hit_count(singleton(index, terms[0]), cfg.bias))}
+    both = doubleton(index, terms[0], terms[1])
+    return {
+        "terms": [t.text for t in terms],
+        "counts": [count_value(hit_count(singleton(index, t), cfg.bias)) for t in terms],
+        "doubleton": count_value(hit_count(both, cfg.bias)),
+    }
+
+
+def _cluster_payload(result: StageResult, *_) -> dict:
     mc = result.cluster
     return {
         "graph": graph_to_dict(result.graph),
@@ -224,58 +240,28 @@ def _cluster_payload(result: StageResult) -> dict:
     }
 
 
-def _shade_payload(result: StageResult) -> dict:
+def _shade_payload(result: StageResult, *_) -> dict:
     shades = {"cluster": None, "tree": None} if result.tree is None else _shades(result)
     return {"alpha": rational_str(result.cluster.alpha), "empty": result.tree is None, **shades}
 
 
-# command -> (last stage it runs, its stdout payload)
+# command -> (last stage it runs, its stdout payload from the results, the arguments and the config)
 _STAGE_COMMANDS = {
-    "snippets": ("snippets", lambda result: snippets_to_dict(result.snippets)),
-    "context": ("context", lambda result: context_to_dict(result.context)),
+    "index": ("index", _index_payload),
+    "query": ("index", _query_payload),
+    "snippets": ("snippets", lambda result, *_: snippets_to_dict(result.snippets)),
+    "context": ("context", lambda result, *_: context_to_dict(result.context)),
     "cluster": ("tree", _cluster_payload),
     "shade": ("tree", _shade_payload),
 }
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
-    summary = {
-        "documents": index.universe_size,
-        "unique_tokens": len(index.postings),
-        "total_tokens": index.total_tokens,
-    }
-    _write(dump_json(summary), cfg.out)
-    return 0
-
-
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if len(args.terms) not in (1, 2):
-        raise ValueError("query takes one or two terms")
-    index = build_index(load_corpus(cfg.corpus, cfg.corpus_format))
-    terms = [Term.parse(raw) for raw in args.terms]
-    if len(terms) == 1:
-        payload: dict = {
-            "term": terms[0].text,
-            "count": count_value(hit_count(singleton(index, terms[0]), cfg.bias)),
-        }
-    else:
-        both = doubleton(index, terms[0], terms[1])
-        payload = {
-            "terms": [t.text for t in terms],
-            "counts": [count_value(hit_count(singleton(index, t), cfg.bias)) for t in terms],
-            "doubleton": count_value(hit_count(both, cfg.bias)),
-        }
-    _write(dump_json(payload), cfg.out)
-    return 0
-
-
 def cmd_stage(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if args.command == "query" and len(args.terms) not in (1, 2):
+        raise ValueError("query takes one or two terms")
     last, payload = _STAGE_COMMANDS[args.command]
-    _write(dump_json(payload(run_stages(cfg, args.term, last))), cfg.out)
+    _write(dump_json(payload(run_stages(cfg, args.term, last), args, cfg)), cfg.out)
     return 0
 
 
@@ -337,18 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--corpus", help="corpus path: a directory of .txt files or a .jsonl file")
     shared.add_argument("--format", dest="corpus_format", choices=("txt_dir", "jsonl"),
-                        help="corpus layout (default txt_dir)")
-    shared.add_argument("--window", type=int, help="words kept each side of an occurrence, 1..50 (default 10)")
+                        help=f"corpus layout (default {RunConfig.corpus_format})")
+    shared.add_argument("--window", type=int,
+                        help=f"words kept each side of an occurrence, 1..50 (default {RunConfig.window})")
     shared.add_argument("--limit", dest="per_doc_limit", type=int,
-                        help="max snippets per document (default 3)")
+                        help=f"max snippets per document (default {RunConfig.per_doc_limit})")
     shared.add_argument("--stopwords", help="file of words to drop from contexts, one per line")
-    shared.add_argument("--alpha", help="cluster threshold, decimal or p/q fraction (default 0)")
-    shared.add_argument("--measure", choices=MEASURES, help="edge weight measure (default jaccard)")
+    shared.add_argument("--alpha", help=f"cluster threshold, decimal or p/q fraction (default {RunConfig.alpha})")
+    shared.add_argument("--measure", choices=MEASURES, help=f"edge weight measure (default {RunConfig.measure})")
     shared.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES,
-                        help="hit count perturbation (default none)")
+                        help=f"hit count perturbation (default {RunConfig.bias_mode})")
     shared.add_argument("--bias-magnitude", dest="bias_magnitude", type=float,
-                        help="perturbation magnitude (default 0)")
-    shared.add_argument("--seed", type=int, help="perturbation seed (default 0)")
+                        help=f"perturbation magnitude (default {RunConfig.bias_magnitude:g})")
+    shared.add_argument("--seed", type=int, help=f"perturbation seed (default {RunConfig.seed})")
     shared.add_argument("--out", help="output file (pipeline: output directory)")
     shared.add_argument("--config", help="JSON config file; explicit flags override it")
 
@@ -359,23 +346,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("index", parents=[shared], help="index the corpus and print a summary")
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("query", parents=[shared], help="count documents for one or two terms")
-    p.add_argument("terms", nargs="+", metavar="TERM")
-    p.set_defaults(func=cmd_query)
-
-    for name, func, help_text in (
-        ("snippets", cmd_stage, "extract word windows around a term"),
-        ("context", cmd_stage, "build the weighted word set of a term"),
-        ("cluster", cmd_stage, "build the relation graph, threshold cluster, and tree"),
-        ("shade", cmd_stage, "export the shade vectors of the cluster and its tree"),
-        ("pipeline", cmd_pipeline, "run every stage and write the artifact bundle"),
+    for name, help_text in (
+        ("index", "index the corpus and print a summary"),
+        ("query", "count documents for one or two terms"),
+        ("snippets", "extract word windows around a term"),
+        ("context", "build the weighted word set of a term"),
+        ("cluster", "build the relation graph, threshold cluster, and tree"),
+        ("shade", "export the shade vectors of the cluster and its tree"),
+        ("pipeline", "run every stage and write the artifact bundle"),
     ):
         p = sub.add_parser(name, parents=[shared], help=help_text)
-        p.add_argument("term", metavar="TERM")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_pipeline if name == "pipeline" else cmd_stage, term=None)
+        if name == "query":
+            p.add_argument("terms", nargs="+", metavar="TERM")
+        elif name != "index":
+            p.add_argument("term", metavar="TERM")
 
     return parser
 
@@ -385,5 +370,5 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)  # one line, even for a path with a newline
         return 1

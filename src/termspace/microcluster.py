@@ -16,7 +16,7 @@ from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .engine import Index, Term, singleton
+from .engine import Index, Term
 from .jsonio import rational_str
 from .triplet import Context
 
@@ -231,16 +231,20 @@ def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
 def mirror_shade(words: Sequence[str], index: Index) -> MirrorShade:
     """Document counts for a word list, normalized into [0, 1] by the maximum.
 
-    Input order is preserved and words must be unique so the word-to-entry
-    map stays one-one. When every count is zero the normalized vector is
-    defined as all zeros.
+    A count is the number of documents in the word's postings, as for a
+    context's ``mu``; a word no index can hold is rejected, never counted
+    as 0. Input order is preserved and words must be unique so the
+    word-to-entry map stays one-one. When every count is zero the
+    normalized vector is defined as all zeros.
     """
     words = tuple(words)
     if not words:
         raise ValueError("mirror_shade needs at least one word")
     if len(set(words)) != len(words):
         raise ValueError("mirror_shade words must be unique")
-    raws = [singleton(index, Term((w,))).cardinality for w in words]
+    for w in words:
+        Term((w,))  # raises for a word no index can hold
+    raws = [len(index.postings.get(w, ())) for w in words]
     z = max(raws)
     entries = tuple(
         ShadeEntry(word=w, raw=r, normalized=Fraction(r, z) if z else Fraction(0))
@@ -252,19 +256,18 @@ def mirror_shade(words: Sequence[str], index: Index) -> MirrorShade:
 def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
     """Check that a tree's shade is the restriction of its cluster's shade.
 
-    True when the tree words' raw counts equal the corresponding entries
-    of the full cluster's shade and the word-to-entry map is one-one.
-    Normalized values are not compared: each shade renormalizes by its own
-    maximum. A tree word missing from the cluster is rejected.
+    Compares each tree word's raw count with its entry in the full
+    cluster's shade; normalized values are not compared, since each shade
+    renormalizes by its own maximum. True for every tree
+    :func:`optimal_micro_cluster` builds from ``full`` or from a cluster of
+    a subset of its words. A tree word missing from the cluster, or a
+    duplicated one, raises ``ValueError``.
     """
     if not set(tree.words) <= set(full.words):
         missing = sorted(set(tree.words) - set(full.words))
         raise ValueError(f"tree words not in the cluster: {missing}")
     full_raw = {e.word: e.raw for e in mirror_shade(full.words, index).entries}
-    tree_shade = mirror_shade(tree.words, index)
-    if len({e.word for e in tree_shade.entries}) != len(tree_shade.entries):
-        return False
-    return all(e.raw == full_raw[e.word] for e in tree_shade.entries)
+    return all(e.raw == full_raw[e.word] for e in mirror_shade(tree.words, index).entries)
 
 
 def _dot(vertices: Sequence[str], edges: Sequence[Edge]) -> str:

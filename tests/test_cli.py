@@ -92,6 +92,14 @@ class TestIndexCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {path}:2: corpus file is not UTF-8 (invalid start byte at byte 46)\n"
 
+    def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        (corpus / "two\nlines.txt").write_bytes(b"\xff")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus)])
+        assert (code, out) == (1, "")
+        name = str(corpus / "two\nlines.txt").replace("\n", "\\n")
+        assert err == f"error: {name}:1: corpus file is not UTF-8 (invalid start byte at byte 0)\n"
+
     def test_missing_corpus_flag(self, capsys):
         code, _, err = run_cli(capsys, ["index"])
         assert code == 1
@@ -132,6 +140,10 @@ class TestQueryCommand:
         assert code == 1
         assert "one or two" in err
 
+    def test_three_terms_rejected_before_the_corpus_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, ["query", "--corpus", str(tmp_path / "absent"), "a", "b", "c"])
+        assert (code, out, err) == (1, "", "error: query takes one or two terms\n")
+
     def test_biased_counts_are_reproducible(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         argv = [
@@ -144,6 +156,17 @@ class TestQueryCommand:
         assert first == second
         exact = len(brute_singleton(list(FIXTURE.items()), ["rock"]))
         assert exact <= json.loads(first)["count"] <= exact + 3
+
+
+@pytest.mark.parametrize("argv", [["index"], ["query", "rock"], ["query", "rock", "trail"]])
+@pytest.mark.parametrize("setting", [["--limit", "0"], ["--window", "99"], ["--stopwords", "ABSENT"]])
+def test_index_and_query_ignore_limit_window_and_stopwords(tmp_path, capsys, argv, setting):
+    corpus = write_corpus(tmp_path, FIXTURE)
+    setting = [str(tmp_path / "absent.txt") if a == "ABSENT" else a for a in setting]
+    command, *terms = argv
+    _, plain, _ = run_cli(capsys, [command, "--corpus", str(corpus), *terms])
+    code, out, err = run_cli(capsys, [command, "--corpus", str(corpus), *setting, *terms])
+    assert (code, out, err) == (0, plain, "")
 
 
 class TestStageCommands:
@@ -263,6 +286,22 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, ["snippets", *argv, "rock"])
         assert (code, out, err) == (1, "", "error: limit must be at least 1, got 0\n")
 
+    @pytest.mark.parametrize("key", ["format", "measure", "bias_mode", "stopwords", "out"])
+    def test_empty_string_counts_as_unset(self, tmp_path, capsys, key):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus)}), encoding="utf-8")
+        _, unset, _ = run_cli(capsys, ["cluster", "--config", str(config), "rock"])
+        config.write_text(json.dumps({"corpus": str(corpus), key: ""}), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["cluster", "--config", str(config), "rock"])
+        assert (code, out, err) == (0, unset, "")
+
+    def test_empty_corpus_is_no_corpus(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": ""}), encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--config", str(config)])
+        assert (code, out, err) == (1, "", "error: a corpus is required (--corpus or a config file)\n")
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -289,7 +328,7 @@ class TestConfigFile:
 
 
 class TestAlpha:
-    @pytest.mark.parametrize("alpha", ["1/0", "abc", "nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["1/0", "abc", "nan", "inf", ""])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_bad_alpha_is_one_error_line_naming_alpha(self, tmp_path, capsys, alpha, form):
         corpus = write_corpus(tmp_path, FIXTURE)

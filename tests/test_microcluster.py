@@ -304,6 +304,25 @@ class TestMirrorShade:
         assert sum(1 for e in shade.entries if e.normalized == 1) == 1
         assert all(0 <= e.normalized <= 1 for e in shade.entries)
 
+    def test_raw_counts_equal_context_mu_and_oracle(self):
+        rng = random.Random(59)
+        for _ in range(15):
+            corpus = random_corpus(rng)
+            term_tokens = random_present_term(rng, corpus, max_len=2)
+            if term_tokens is None:
+                continue
+            index = build_index(corpus)
+            ctx = build_context(extract_snippets(index, Term(tuple(term_tokens)), window=3), index)
+            words = list(ctx.words) + ["absent"]
+            raws = {e.word: e.raw for e in mirror_shade(words, index).entries}
+            assert raws == {**{w: stat.mu for w, stat in ctx.words.items()}, "absent": 0}
+            assert raws == {w: len(brute_singleton(corpus, [w])) for w in words}
+
+    @pytest.mark.parametrize("word", ["Alpha", "alpha beta", "", "a-b"])
+    def test_word_no_index_can_hold_is_rejected(self, tiny_index, word):
+        with pytest.raises(ValueError, match="term"):
+            mirror_shade(["beta", word], tiny_index)
+
     def test_restriction_commutes_with_computation(self):
         rng = random.Random(53)
         for _ in range(15):
@@ -348,6 +367,13 @@ class TestVerifyTheorem:
         bogus = TreeCluster(vertices=("zebra",), edges=(), words=("zebra",))
         with pytest.raises(ValueError, match="not in the cluster"):
             verify_theorem(bogus, mc, index)
+
+    def test_duplicated_tree_word_rejected(self):
+        index, _, mc = self.chain([("D1", "p q r"), ("D2", "q r")], "q", 0)
+        tree = optimal_micro_cluster(mc)
+        doubled = TreeCluster(vertices=tree.vertices, edges=tree.edges, words=tree.words + tree.words[:1])
+        with pytest.raises(ValueError, match="unique"):
+            verify_theorem(doubled, mc, index)
 
     def test_random_campaign(self):
         rng = random.Random(67)
