@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .engine import Index, Term
 from .jsonio import rational_str
@@ -190,24 +190,22 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     return MicroCluster(graph=sub, words=retained, alpha=threshold)
 
 
-class _UnionFind:
-    def __init__(self, items: Sequence[str]) -> None:
-        self.parent = {item: item for item in items}
+def _forest(vertices: Iterable[str], edges: Iterable[Edge]) -> list[Edge]:
+    """The edges Kruskal's rule keeps, in order: each joins two components of those kept before it."""
+    root = {v: v for v in vertices}
 
-    def find(self, item: str) -> str:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
+    def find(v: str) -> str:
+        while root[v] != v:
+            root[v] = v = root[root[v]]  # path halving
+        return v
 
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    kept = []
+    for edge in edges:
+        a, b = find(edge[0]), find(edge[1])
+        if a != b:
+            root[b] = a
+            kept.append(edge)
+    return kept
 
 
 def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
@@ -223,8 +221,7 @@ def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
     # ``edges()`` is in lexicographic order and the sort is stable (also
     # with ``reverse``), so equal weights keep that order.
     ordered = sorted(mc.graph.edges(), key=itemgetter(2), reverse=True)
-    forest = _UnionFind(mc.graph.vertices)
-    kept = tuple(e for e in ordered if forest.union(e[0], e[1]))
+    kept = tuple(_forest(mc.graph.vertices, ordered))
     return TreeCluster(vertices=mc.graph.vertices, edges=kept, words=mc.words)
 
 
@@ -254,18 +251,27 @@ def mirror_shade(words: Sequence[str], index: Index) -> MirrorShade:
 
 
 def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
-    """Check that a tree's shade is the restriction of its cluster's shade.
+    """Check that a tree spans its words and its shade restricts its cluster's shade.
 
-    Compares each tree word's raw count with its entry in the full
-    cluster's shade; normalized values are not compared, since each shade
-    renormalizes by its own maximum. True for every tree
-    :func:`optimal_micro_cluster` builds from ``full`` or from a cluster of
-    a subset of its words. A tree word missing from the cluster, or a
-    duplicated one, raises ``ValueError``.
+    The tree spans its words when they are its vertices, joined by
+    ``len(vertices) - 1`` edges without a cycle. Each tree word's raw count
+    is compared with its entry in the full cluster's shade; normalized
+    values are not, since each shade renormalizes by its own maximum. True
+    for every tree :func:`optimal_micro_cluster` builds from ``full`` or
+    from a cluster of a subset of its words. A tree word missing from the
+    cluster, or a duplicated one, raises ``ValueError``.
     """
     if not set(tree.words) <= set(full.words):
         missing = sorted(set(tree.words) - set(full.words))
         raise ValueError(f"tree words not in the cluster: {missing}")
+    vertices = set(tree.vertices)
+    if (
+        set(tree.words) != vertices
+        or len(tree.edges) != len(tree.vertices) - 1
+        or not all(a in vertices and b in vertices for a, b, _ in tree.edges)
+        or len(_forest(vertices, tree.edges)) != len(tree.edges)
+    ):
+        return False
     full_raw = {e.word: e.raw for e in mirror_shade(full.words, index).entries}
     return all(e.raw == full_raw[e.word] for e in mirror_shade(tree.words, index).entries)
 
@@ -301,12 +307,10 @@ def tree_to_dot(tree: TreeCluster) -> str:
 
 
 def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:
+    # ``edges`` come in lexicographic order, as for ``_dot``.
     return {
         "vertices": list(vertices),
-        "edges": [
-            {"a": a, "b": b, "weight": rational_str(w)}
-            for a, b, w in sorted(edges, key=itemgetter(0, 1))
-        ],
+        "edges": [{"a": a, "b": b, "weight": rational_str(w)} for a, b, w in edges],
     }
 
 
@@ -316,7 +320,7 @@ def graph_to_dict(graph: WordGraph) -> dict:
 
 
 def tree_to_dict(tree: TreeCluster) -> dict:
-    return _edges_dict(tree.vertices, tree.edges)
+    return _edges_dict(tree.vertices, sorted(tree.edges, key=itemgetter(0, 1)))
 
 
 def shade_to_dict(shade: MirrorShade) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Index, Term, _coerce_term, _phrase_starts, occurrence_positions, singleton
+from .engine import Index, Term, _coerce_term, _phrase_starts, singleton
 
 MAX_WINDOW = 50
 
@@ -88,18 +88,16 @@ def extract_snippets(
     t = _coerce_term(term)
     # Every token is present whenever the event is non-empty.
     postings = [index.postings.get(tok) for tok in t.tokens]
+    m = len(t.tokens)
     collected: list[Snippet] = []
     for doc_id in sorted(singleton(index, t).doc_ids):
         doc_tokens = index.documents[doc_id].tokens
-        starts = postings[0][doc_id] if len(postings) == 1 else sorted(_phrase_starts(postings, doc_id))
+        starts = sorted(_phrase_starts(postings, doc_id))
         for pos in starts[:per_doc_limit]:
             start = max(0, pos - window)
-            end = min(len(doc_tokens), pos + len(t.tokens) + window)
-            words = doc_tokens[start:end]
-            spans = tuple(
-                (s, s + len(t.tokens)) for s in occurrence_positions(words, t.tokens)
-            )
-            collected.append(Snippet(doc_id=doc_id, words=words, term_spans=spans))
+            end = min(len(doc_tokens), pos + m + window)
+            spans = tuple((s - start, s - start + m) for s in starts if start <= s <= end - m)
+            collected.append(Snippet(doc_id=doc_id, words=doc_tokens[start:end], term_spans=spans))
     return SnippetList(term=t, snippets=tuple(collected))
 
 

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import AbstractSet, Mapping
 
 from .engine import Index, Term, _coerce_term, contains_phrase
+from .jsonio import rational_str
 from .snippets import Snippet, SnippetList
 
 HALF = Fraction(1, 2)
@@ -163,8 +164,6 @@ def context_to_dict(context: Context) -> dict:
 
     Rationals are rendered as decimal strings with 12 significant digits.
     """
-    from .jsonio import rational_str
-
     return {
         "term": context.term.text,
         "words": [

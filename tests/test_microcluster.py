@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -374,6 +375,46 @@ class TestVerifyTheorem:
         doubled = TreeCluster(vertices=tree.vertices, edges=tree.edges, words=tree.words + tree.words[:1])
         with pytest.raises(ValueError, match="unique"):
             verify_theorem(doubled, mc, index)
+
+    def spanning_tree(self):
+        corpus = [("D1", "p q r s"), ("D2", "q r"), ("D3", "q s")]
+        index, _, mc = self.chain(corpus, "q", 0)
+        tree = optimal_micro_cluster(mc)
+        assert tree.vertices == ("p", "q", "r", "s") and len(tree.edges) == 3
+        assert verify_theorem(tree, mc, index) is True
+        return index, mc, tree
+
+    def test_dropped_word_fails(self):
+        index, mc, tree = self.spanning_tree()
+        dropped = TreeCluster(vertices=tree.vertices, edges=tree.edges, words=tree.words[:-1])
+        assert verify_theorem(dropped, mc, index) is False
+
+    def test_dropped_edge_fails(self):
+        index, mc, tree = self.spanning_tree()
+        split = TreeCluster(vertices=tree.vertices, edges=tree.edges[:-1], words=tree.words)
+        assert split.component_count == 2
+        assert verify_theorem(split, mc, index) is False
+
+    def test_extra_edge_closing_a_cycle_fails(self):
+        index, mc, tree = self.spanning_tree()
+        kept = {(a, b) for a, b, _ in tree.edges}
+        a, b = next(pair for pair in combinations(tree.vertices, 2) if pair not in kept)
+        extra = tree.edges + ((a, b, mc.graph.weight(a, b)),)
+        cyclic = TreeCluster(vertices=tree.vertices, edges=extra, words=tree.words)
+        assert verify_theorem(cyclic, mc, index) is False
+
+    def test_cycle_with_a_tree_s_edge_count_fails(self):
+        # q-r, q-s, r-s close a cycle and leave p out, in three edges.
+        index, mc, _ = self.spanning_tree()
+        edges = tuple((a, b, mc.graph.weight(a, b)) for a, b in [("q", "r"), ("q", "s"), ("r", "s")])
+        cyclic = TreeCluster(vertices=("p", "q", "r", "s"), edges=edges, words=("q", "r", "s", "p"))
+        assert verify_theorem(cyclic, mc, index) is False
+
+    def test_edge_to_a_non_vertex_fails(self):
+        index, mc, tree = self.spanning_tree()
+        a, _, w = tree.edges[-1]
+        stray = TreeCluster(vertices=tree.vertices, edges=tree.edges[:-1] + ((a, "zebra", w),), words=tree.words)
+        assert verify_theorem(stray, mc, index) is False
 
     def test_random_campaign(self):
         rng = random.Random(67)

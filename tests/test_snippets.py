@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termspace import Snippet, Term, build_index, contains_phrase, extract_snippets, singleton
+from termspace import (
+    Snippet,
+    Term,
+    build_index,
+    contains_phrase,
+    extract_snippets,
+    occurrence_positions,
+    singleton,
+)
 
 from conftest import random_corpus, random_present_term
 from oracles import window_snippets
@@ -123,3 +131,44 @@ def test_extraction_is_stable_under_rerun():
     first = extract_snippets(index, "x", window=2)
     second = extract_snippets(index, "x", window=2)
     assert first == second
+
+
+def spans_by_rescan(snippet, tokens):
+    """Every occurrence of ``tokens`` inside the snippet's words, found by scanning."""
+    m = len(tokens)
+    return tuple((s, s + m) for s in occurrence_positions(snippet.words, tokens))
+
+
+def test_spans_list_every_occurrence_in_the_window():
+    # A three-word alphabet makes repeated and overlapping phrases common.
+    rng = random.Random(113)
+    alphabet = ("a", "b", "c")
+    for _ in range(300):
+        corpus = random_corpus(rng, max_docs=6, max_tokens=20, alphabet=alphabet)
+        tokens = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+        window, limit = rng.randint(1, 6), rng.randint(1, 3)
+        result = extract_snippets(build_index(corpus), Term(tokens), window, limit)
+        expected = window_snippets(corpus, list(tokens), window, limit)
+        assert [(s.doc_id, list(s.words)) for s in result.snippets] == expected
+        for snippet in result.snippets:
+            assert snippet.term_spans == spans_by_rescan(snippet, tokens)
+
+
+@pytest.mark.parametrize(
+    "text, term, window, limit, expected",
+    [
+        # Overlapping occurrences: both windows hold both.
+        ("a a a", "a a", 1, 3, [(("a", "a", "a"), ((0, 2), (1, 3)))] * 2),
+        # The second occurrence is cut off by the first window's end, the
+        # first by the second window's start.
+        ("a b a b", "a b", 1, 3, [(("a", "b", "a"), ((0, 2),)), (("b", "a", "b"), ((1, 3),))]),
+        # Windows truncated at the document's end.
+        ("p q a", "a", 3, 3, [(("p", "q", "a"), ((2, 3),))]),
+        ("p a b", "a b", 2, 3, [(("p", "a", "b"), ((1, 3),))]),
+        # The limit caps snippets, not the spans inside one.
+        ("x x x x", "x", 3, 1, [(("x", "x", "x", "x"), ((0, 1), (1, 2), (2, 3), (3, 4)))]),
+    ],
+)
+def test_spans_hand_cases(text, term, window, limit, expected):
+    result = extract_snippets(build_index([("D1", text)]), term, window, limit)
+    assert [(s.words, s.term_spans) for s in result.snippets] == expected
