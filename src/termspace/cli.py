@@ -319,8 +319,13 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ValueError(message)  # reported by ``main``, as one line like any bad value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = _ArgumentParser(add_help=False)
     shared.add_argument("--corpus", help="corpus path: a directory of .txt files or a .jsonl file")
     shared.add_argument("--format", dest="corpus_format", choices=("txt_dir", "jsonl"),
                         help=f"corpus layout (default {RunConfig.corpus_format})")
@@ -339,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output file (pipeline: output directory)")
     shared.add_argument("--config", help="JSON config file; explicit flags override it")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="termspace",
         description="Deterministic search engine model: event spaces, snippets, "
         "word weights, relation graphs, spanning-tree clusters, shade vectors.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are ``_ArgumentParser``s too
 
     for name, help_text in (
         ("index", "index the corpus and print a summary"),
@@ -366,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}".replace("\n", "\\n"), file=sys.stderr)  # one line, even for a path with a newline

@@ -254,6 +254,20 @@ def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
     return max(0.0, noisy)
 
 
+def _read_text(path: Path) -> str:
+    """A corpus file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` as text mode reads them.
+
+    A file that is not UTF-8 is rejected by name and by the line of its first bad byte.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: corpus file is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus from a directory of UTF-8 ``.txt`` files.
 
@@ -264,55 +278,34 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     p = Path(path)
     if not p.is_dir():
         raise ValueError(f"corpus directory not found: {p}")
-    pairs: list[tuple[str, str]] = []
-    for f in sorted(p.glob("*.txt")):
-        try:
-            pairs.append((f.stem, f.read_text(encoding="utf-8")))
-        except UnicodeDecodeError:
-            raise ValueError(_not_utf8(f)) from None
-    return pairs
+    return [(f.stem, _read_text(f)) for f in sorted(p.glob("*.txt"))]
 
 
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus from a JSON-lines file of ``{"id": ..., "text": ...}`` objects.
 
-    Blank lines are skipped. A malformed line, or one that is not UTF-8,
-    is rejected with its line number.
+    Both values must be JSON strings. Blank lines are skipped. A malformed
+    line, or one that is not UTF-8, is rejected with its line number.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"corpus file not found: {p}")
     pairs: list[tuple[str, str]] = []
-    try:
-        with p.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{p}:{lineno}: invalid JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                    raise ValueError(f'{p}:{lineno}: expected an object with "id" and "text"')
-                pairs.append((str(obj["id"]), str(obj["text"])))
-    except UnicodeDecodeError:
-        raise ValueError(_not_utf8(p)) from None
+    # Not ``splitlines``: it also splits at U+2028, U+0085 and more, which a JSON string may hold raw.
+    for lineno, line in enumerate(_read_text(p).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{p}:{lineno}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+            raise ValueError(f'{p}:{lineno}: expected an object with "id" and "text"')
+        for key in ("id", "text"):
+            if type(obj[key]) is not str:
+                raise ValueError(f'{p}:{lineno}: "{key}" must be a string, got {json.dumps(obj[key])}')
+        pairs.append((obj["id"], obj["text"]))
     return pairs
-
-
-def _not_utf8(path: Path) -> str:
-    """The error for a file that is not UTF-8, naming its first bad line and byte.
-
-    A text-mode reader decodes ahead of its line and reports offsets into
-    its buffer, so the file is decoded again here as a whole.
-    """
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        return f"{path}:{lineno}: corpus file is not UTF-8 ({exc.reason} at byte {exc.start})"
-    return f"{path}: corpus file is not UTF-8"
 
 
 def load_corpus(path: str | Path, corpus_format: str) -> list[tuple[str, str]]:

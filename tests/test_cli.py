@@ -92,6 +92,16 @@ class TestIndexCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {path}:2: corpus file is not UTF-8 (invalid start byte at byte 46)\n"
 
+    @pytest.mark.parametrize("key", ["id", "text"])
+    @pytest.mark.parametrize("value", [None, 7, True, ["none"], {"none": "none"}])
+    def test_jsonl_value_that_is_not_a_string_is_one_error_line(self, tmp_path, capsys, key, value):
+        path = tmp_path / "docs.jsonl"
+        record = {"id": "a", "text": "none", key: value}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["query", "--corpus", str(path), "--format", "jsonl", "none"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f'error: {path}:1: "{key}" must be a string, got ') and err.count("\n") == 1
+
     def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         (corpus / "two\nlines.txt").write_bytes(b"\xff")
@@ -670,6 +680,51 @@ def test_command_output_digests_match_recorded(tmp_path, capsys, argv, expected)
     assert hashlib.sha256((out_dir / "r.json").read_bytes()).hexdigest() == expected
 
 
+# SHA-256 of ``--help`` at 80 columns, recorded while a usage error still
+# printed argparse's usage block and exited 2.
+GOLDEN_HELP = {
+    "": "f4954cef442dabee3d207671615f9162dd67a822dd0922068b49a672235b2a7a",
+    "index": "af4f528032e409fd72de5298d2a0b4778aab5571e61e02de527a17a5bea8a839",
+    "query": "dea616a89587bcc28fe306b2799ed1111a681cb1b57d0dfd9d64672c574a0afb",
+    "snippets": "21db2e714890f36eb5385bf30d2d42fe23ef58a9b6153bce68fc8ae608f828b3",
+    "context": "3231df0bc48b46b930b2c57c59c6ee1cba43b79bef899b97bfc5e0b566788633",
+    "cluster": "c8834c55cb4aa3ddc5f1fc9bc9d4844990a58329606920771e8959d40e67e887",
+    "shade": "5941d325a3b954a2fac711ec0a5af1fb59781961c3bf434522b546340ec32c0e",
+    "pipeline": "dcc01a458f0d465ae78bb5f859ce256fb5a4066093bc0c45ca50da1727452897",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_HELP))
+def test_help_digests_match_recorded(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"] if command else ["--help"])
+    out, err = capsys.readouterr()
+    assert (exit_info.value.code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_HELP[command]
+
+
+# Argparse's wording changes between Python versions, so only the form is checked.
+USAGE_ERRORS = [
+    ["index", "--corpus", "CORPUS", "--window", "abc"],
+    ["query", "--corpus", "CORPUS", "--bias-magnitude", "x", "rock"],
+    ["cluster", "--corpus", "CORPUS", "--measure", "cosine", "rock"],
+    ["index", "--corpus", "CORPUS", "--bogus", "1"],
+    ["snippets", "--corpus", "CORPUS"],
+    ["query", "--corpus", "CORPUS"],
+    [],
+    ["search", "--corpus", "CORPUS", "rock"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=[" ".join(a) or "no command" for a in USAGE_ERRORS])
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv):
+    corpus = write_corpus(tmp_path, FIXTURE)
+    code, out, err = run_cli(capsys, [str(corpus) if a == "CORPUS" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_module_entry_point(tmp_path):
     corpus = write_corpus(tmp_path, {"a": "hello world"})
     result = subprocess.run(
@@ -680,3 +735,14 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["documents"] == 1
+
+
+def test_module_entry_point_usage_error_exits_1():
+    result = subprocess.run(
+        [sys.executable, "-m", "termspace", "index", "--window", "abc"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1

@@ -1,4 +1,4 @@
-"""CLI fuzzing: any config value and any corpus bytes give an answer or one error line."""
+"""CLI fuzzing: any flag, config value and corpus bytes give an answer or one error line."""
 
 from __future__ import annotations
 
@@ -66,6 +66,17 @@ CONFIGS = st.builds(
     mostly(st.none(), st.tuples(st.sampled_from(sorted(_CONFIG_KEYS)), JSON_VALUES)),
 )
 
+# Mostly no extra flag, so that most runs reach the stages; else one
+# option, or one no parser knows, with a value that may not suit it.
+FLAGS = mostly(
+    st.just(()),
+    st.tuples(
+        st.sampled_from(("--corpus", "--format", "--window", "--limit", "--stopwords", "--alpha", "--measure",
+                         "--bias-mode", "--bias-magnitude", "--seed", "--out", "--config", "--bogus")),
+        SAFE_TEXT | st.sampled_from(("2", "0.5", "jsonl", "jaccard", "additive")),
+    ),
+)
+
 DOC_BYTES = mostly(WORDS.map(lambda s: s.encode("utf-8")), st.binary(max_size=24))
 JSONL_LINES = mostly(
     st.fixed_dictionaries({"id": SAFE_TEXT, "text": WORDS}).map(json_bytes),
@@ -104,8 +115,9 @@ def write_corpus(root: Path, layout: str, content) -> Path:
     corpus_flag=st.booleans(),
     stopwords=DOC_BYTES,
     terms=st.lists(TERMS, min_size=1, max_size=3),
+    flag=FLAGS,
 )
-def test_every_run_answers_or_fails_with_one_error_line(command, config, corpus, corpus_flag, stopwords, terms):
+def test_every_run_answers_or_fails_with_one_error_line(command, config, corpus, corpus_flag, stopwords, terms, flag):
     layout, content = corpus
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,6 +132,7 @@ def test_every_run_answers_or_fails_with_one_error_line(command, config, corpus,
             argv += ["--corpus", str(path)]
         if layout == "jsonl":
             argv += ["--format", "jsonl"]
+        argv += flag
         if command != "index":
             argv += ["--", *(terms if command == "query" else terms[:1])]
         out, err = io.StringIO(), io.StringIO()

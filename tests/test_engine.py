@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -288,6 +289,64 @@ class TestCorpusLoaders:
         path.write_text('{"id": "D1"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match=":1:"):
             load_corpus_jsonl(path)
+
+    # ``\r\n`` and a lone ``\r`` end a line, as in a text-mode read; U+2028 and
+    # U+0085, which ``str.splitlines`` would also split at, stay inside a record.
+    MIXED_ENDINGS = (
+        b'{"id": "D1", "text": "alpha\xe2\x80\xa8beta\xc2\x85gamma"}\r\n'
+        b"\r\n"
+        b" \t \r\n"
+        b'{"id": "D2", "text": "delta"}\r'
+        b"\xe2\x80\xa8\n"
+        b'{"id": "D\xc2\x853", "text": "epsilon"}\n'
+    )
+
+    def test_jsonl_line_endings_and_unicode_separators(self, tmp_path):
+        from termspace import load_corpus_jsonl
+
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(self.MIXED_ENDINGS)
+        assert load_corpus_jsonl(path) == [
+            ("D1", "alpha\u2028beta\x85gamma"),
+            ("D2", "delta"),
+            ("D\x853", "epsilon"),
+        ]
+
+    def test_jsonl_malformed_line_after_mixed_endings_reports_line_number(self, tmp_path):
+        from termspace import load_corpus_jsonl
+
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(self.MIXED_ENDINGS + b"\r{broken\r\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:8: invalid JSON: "):
+            load_corpus_jsonl(path)
+
+    def test_txt_dir_reads_crlf_and_lone_cr_as_newlines(self, tmp_path):
+        from termspace import load_corpus_dir
+
+        (tmp_path / "a.txt").write_bytes(b"one two\r\nthree\rfour\xe2\x80\xa8five\r\n")
+        assert load_corpus_dir(tmp_path) == [("a", "one two\nthree\nfour\u2028five\n")]
+
+    @pytest.mark.parametrize("key", ["id", "text"])
+    @pytest.mark.parametrize("value", [None, 7, True, ["rock"], {"rock": "trail"}])
+    def test_jsonl_value_that_is_not_a_string_rejected_by_line_and_key(self, tmp_path, key, value):
+        from termspace import load_corpus_jsonl
+
+        path = tmp_path / "docs.jsonl"
+        record = {"id": "D2", "text": "rock", key: value}
+        path.write_text('{"id": "D1", "text": "ok"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_corpus_jsonl(path)
+        assert str(info.value) == f'{path}:2: "{key}" must be a string, got {json.dumps(value)}'
+
+    def test_txt_undecodable_byte_past_first_buffer_reports_line_number(self, tmp_path):
+        from termspace import load_corpus_dir
+
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"rock gravel\n" * 1000 + b"trail \xff\n")
+        message = f"{path}:1001: corpus file is not UTF-8 (invalid start byte at byte 12006)"
+        with pytest.raises(ValueError) as info:
+            load_corpus_dir(tmp_path)
+        assert str(info.value) == message
 
 
 class TestHitCount:
