@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,21 +54,35 @@ PIPELINE_DEFAULT_DIR = "pipeline_out"
 _ARTIFACT_NAMES = ("snippets.json", "context.json", "graph.dot", "tree.dot", "shade.json", "report.json")
 
 
+def _setting(key: str, help: str, default=MISSING, types: tuple[type, ...] = (str,), **options):
+    """A :class:`RunConfig` field: its default, config key and JSON value types, and its flag.
+
+    The flag is ``--key`` with ``-`` for ``_``; ``options`` are its other
+    ``add_argument`` keywords, and the help text names the default.
+    """
+    if default is not MISSING and default is not None:
+        help = f"{help} (default {f'{default:g}' if isinstance(default, float) else default})"
+    return field(default=default, metadata={"key": key, "types": types, "options": {"help": help, **options}})
+
+
 @dataclass
 class RunConfig:
-    """One run's settings, with the CLI's only defaults; ``alpha`` and ``bias_magnitude`` are parsed here."""
+    """One run's settings, each declared once with its CLI default, config key and flag.
 
-    corpus: str
-    corpus_format: str = "txt_dir"
-    window: int = 10
-    per_doc_limit: int = 3
-    stopwords: str | None = None
-    alpha: Fraction = Fraction(0)
-    measure: str = "jaccard"
-    bias_mode: str = "none"
-    bias_magnitude: float = 0.0
-    seed: int = 0
-    out: str | None = None
+    ``alpha`` and ``bias_magnitude`` are parsed here.
+    """
+
+    corpus: str = _setting("corpus", "corpus path: a directory of .txt files or a .jsonl file")
+    corpus_format: str = _setting("format", "corpus layout", "txt_dir", choices=("txt_dir", "jsonl"))
+    window: int = _setting("window", "words kept each side of an occurrence, 1..50", 10, (int,), type=int)
+    per_doc_limit: int = _setting("limit", "max snippets per document", 3, (int,), type=int)
+    stopwords: str | None = _setting("stopwords", "file of words to drop from contexts, one per line", None)
+    alpha: Fraction = _setting("alpha", "cluster threshold, decimal or p/q fraction", Fraction(0), (str, int, float))
+    measure: str = _setting("measure", "edge weight measure", "jaccard", choices=MEASURES)
+    bias_mode: str = _setting("bias_mode", "hit count perturbation", "none", choices=BIAS_MODES)
+    bias_magnitude: float = _setting("bias_magnitude", "perturbation magnitude", 0.0, (int, float), type=float)
+    seed: int = _setting("seed", "perturbation seed", 0, (int,), type=int)
+    out: str | None = _setting("out", "output file (pipeline: output directory)", None)
     bias: BiasConfig = field(init=False)
 
     def __post_init__(self) -> None:
@@ -80,27 +94,16 @@ class RunConfig:
         self.bias = BiasConfig(self.bias_mode, self.bias_magnitude, self.seed)
 
 
+_SETTINGS = [f for f in fields(RunConfig) if f.metadata]
 # config-file key -> (parsed-argument attribute, accepted JSON value types)
-_CONFIG_KEYS = {
-    "corpus": ("corpus", (str,)),
-    "format": ("corpus_format", (str,)),
-    "window": ("window", (int,)),
-    "limit": ("per_doc_limit", (int,)),
-    "stopwords": ("stopwords", (str,)),
-    "alpha": ("alpha", (str, int, float)),
-    "measure": ("measure", (str,)),
-    "bias_mode": ("bias_mode", (str,)),
-    "bias_magnitude": ("bias_magnitude", (int, float)),
-    "seed": ("seed", (int,)),
-    "out": ("out", (str,)),
-}
+_CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["types"]) for f in _SETTINGS}
 
 
 def _read_config(path: str) -> dict[str, object]:
     """The config file's values by parsed-argument attribute; JSON null means unset."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or bytes that are not UTF-8
         raise ValueError(f"{path}: invalid JSON config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -126,6 +129,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = _read_config(args.config) if args.config else {}
     values.update((attr, flag) for attr, _ in _CONFIG_KEYS.values() if (flag := getattr(args, attr)) is not None)
     values = {attr: value for attr, value in values.items() if value != "" or attr == "alpha"}
+    for f in _SETTINGS:  # a flag's choices are checked by the parser, so only a config value can fail here
+        choices = f.metadata["options"].get("choices")
+        if choices and f.name in values and values[f.name] not in choices:
+            got = json.dumps(values[f.name])
+            raise ValueError(f"config key {f.metadata['key']!r} must be one of {', '.join(choices)}, got {got}")
     if "corpus" not in values:
         raise ValueError("a corpus is required (--corpus or a config file)")
     return RunConfig(**values)
@@ -326,22 +334,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _ArgumentParser(add_help=False)
-    shared.add_argument("--corpus", help="corpus path: a directory of .txt files or a .jsonl file")
-    shared.add_argument("--format", dest="corpus_format", choices=("txt_dir", "jsonl"),
-                        help=f"corpus layout (default {RunConfig.corpus_format})")
-    shared.add_argument("--window", type=int,
-                        help=f"words kept each side of an occurrence, 1..50 (default {RunConfig.window})")
-    shared.add_argument("--limit", dest="per_doc_limit", type=int,
-                        help=f"max snippets per document (default {RunConfig.per_doc_limit})")
-    shared.add_argument("--stopwords", help="file of words to drop from contexts, one per line")
-    shared.add_argument("--alpha", help=f"cluster threshold, decimal or p/q fraction (default {RunConfig.alpha})")
-    shared.add_argument("--measure", choices=MEASURES, help=f"edge weight measure (default {RunConfig.measure})")
-    shared.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES,
-                        help=f"hit count perturbation (default {RunConfig.bias_mode})")
-    shared.add_argument("--bias-magnitude", dest="bias_magnitude", type=float,
-                        help=f"perturbation magnitude (default {RunConfig.bias_magnitude:g})")
-    shared.add_argument("--seed", type=int, help=f"perturbation seed (default {RunConfig.seed})")
-    shared.add_argument("--out", help="output file (pipeline: output directory)")
+    for f in _SETTINGS:
+        shared.add_argument(f"--{f.metadata['key'].replace('_', '-')}", dest=f.name, **f.metadata["options"])
     shared.add_argument("--config", help="JSON config file; explicit flags override it")
 
     parser = _ArgumentParser(

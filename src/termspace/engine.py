@@ -284,8 +284,8 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus from a JSON-lines file of ``{"id": ..., "text": ...}`` objects.
 
-    Both values must be JSON strings. Blank lines are skipped. A malformed
-    line, or one that is not UTF-8, is rejected with its line number.
+    Both values must be JSON strings. Blank lines are skipped. A line that
+    is malformed, too deeply nested or not UTF-8 is rejected with its line number.
     """
     p = Path(path)
     if not p.is_file():
@@ -297,8 +297,9 @@ def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # also too deep a nesting, or too many digits in a number
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise ValueError(f"{p}:{lineno}: invalid JSON: {reason}") from exc
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
             raise ValueError(f'{p}:{lineno}: expected an object with "id" and "text"')
         for key in ("id", "text"):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from termspace.cli import main
+from termspace.cli import _CONFIG_KEYS, build_parser, main, resolve_config
 
 from oracles import brute_context, brute_singleton, window_snippets
 
@@ -101,6 +101,19 @@ class TestIndexCommand:
         code, out, err = run_cli(capsys, ["query", "--corpus", str(path), "--format", "jsonl", "none"])
         assert (code, out) == (1, "")
         assert err.startswith(f'error: {path}:1: "{key}" must be a string, got ') and err.count("\n") == 1
+
+    # Valid JSON that ``json.loads`` cannot decode: nested too deeply, or a number with too many digits.
+    @pytest.mark.parametrize(
+        "record",
+        ["[" * 100000, '{"id": "b", "text": "x", "n": %s}' % ("9" * 5000)],
+        ids=["deep", "long_number"],
+    )
+    def test_undecodable_jsonl_record_is_one_error_line_naming_it(self, tmp_path, capsys, record):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + record + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(path), "--format", "jsonl"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}:2: invalid JSON: ") and err.count("\n") == 1
 
     def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
@@ -287,6 +300,13 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err == f"error: {config}: invalid JSON config: {reason}\n"
 
+    def test_too_deeply_nested_config_is_one_error_line_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text('{"corpus": ' + "[" * 100000, encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {config}: invalid JSON config: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_limit_below_one_is_one_error_line_naming_limit(self, tmp_path, capsys, form):
         corpus = write_corpus(tmp_path, FIXTURE)
@@ -335,6 +355,50 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, ["snippets", "--config", str(config), "rock"])
         assert (code, out) == (1, "")
         assert err.startswith(f"error: config key '{key}' must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, key, value, choices",
+        [
+            ("index", "measure", "cosine", "doubleton_count, jaccard"),
+            ("context", "measure", "cosine", "doubleton_count, jaccard"),
+            ("index", "format", "csv", "txt_dir, jsonl"),
+            ("query", "bias_mode", "scaled", "none, additive, multiplicative"),
+        ],
+    )
+    def test_value_outside_the_flag_choices_rejected(self, tmp_path, capsys, command, key, value, choices):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus), key: value}), encoding="utf-8")
+        argv = [command, "--config", str(config)] + ([] if command == "index" else ["rock"])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f'error: config key {key!r} must be one of {choices}, got "{value}"\n'
+
+    # One valid value per config key: (the flag's text, the JSON config value).
+    FLAG_AND_CONFIG_VALUES = {
+        "corpus": ("docs", "docs"),
+        "format": ("jsonl", "jsonl"),
+        "window": ("4", 4),
+        "limit": ("2", 2),
+        "stopwords": ("stop.txt", "stop.txt"),
+        "alpha": ("1/4", 0.25),
+        "measure": ("doubleton_count", "doubleton_count"),
+        "bias_mode": ("additive", "additive"),
+        "bias_magnitude": ("2.5", 2.5),
+        "seed": ("7", 7),
+        "out": ("out.json", "out.json"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+    def test_flag_and_config_value_resolve_alike(self, tmp_path, key):
+        flag, value = self.FLAG_AND_CONFIG_VALUES[key]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": "base", key: value}), encoding="utf-8")
+        parse = build_parser().parse_args
+        from_flag = resolve_config(parse(["index", "--corpus", "base", f"--{key.replace('_', '-')}", flag]))
+        from_config = resolve_config(parse(["index", "--config", str(config)]))
+        assert from_flag == from_config
+        assert from_flag != resolve_config(parse(["index", "--corpus", "base"]))
 
 
 class TestAlpha:
