@@ -152,7 +152,7 @@ def _write(text: str, out: str | Path | None = None) -> None:
 
     A file is written to a temporary file beside it and renamed into
     place, so a reader sees the old file or the new one, never a partial
-    write.
+    write. An ``OSError`` names ``out``, and the temporary file is removed.
     """
     if out is None:
         sys.stdout.write(text)
@@ -164,9 +164,10 @@ def _write(text: str, out: str | Path | None = None) -> None:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
 @dataclass
@@ -215,10 +216,9 @@ def run_stages(cfg: RunConfig, term_text: str | None, last: str, lenient: bool =
 
 
 def _shades(result: StageResult) -> dict:
-    return {
-        "cluster": shade_to_dict(mirror_shade(result.cluster.words, result.index)),
-        "tree": shade_to_dict(mirror_shade(result.tree.words, result.index)),
-    }
+    # A tree keeps its cluster's words (``optimal_micro_cluster``), so one shade serves both.
+    shade = shade_to_dict(mirror_shade(result.cluster.words, result.index))
+    return {"cluster": shade, "tree": shade}
 
 
 def _index_payload(result: StageResult, *_) -> dict:

@@ -285,12 +285,13 @@ def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     """Read a corpus from a JSON-lines file of ``{"id": ..., "text": ...}`` objects.
 
     Both values must be JSON strings. Blank lines are skipped. A line that
-    is malformed, too deeply nested or not UTF-8 is rejected with its line number.
+    is malformed, too deeply nested or not UTF-8 is rejected with its line
+    number, and a repeated id with its line and the line of its first use.
     """
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"corpus file not found: {p}")
-    pairs: list[tuple[str, str]] = []
+    docs: dict[str, tuple[int, str]] = {}  # id -> (line, text)
     # Not ``splitlines``: it also splits at U+2028, U+0085 and more, which a JSON string may hold raw.
     for lineno, line in enumerate(_read_text(p).split("\n"), start=1):
         if not line.strip():
@@ -305,8 +306,11 @@ def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
         for key in ("id", "text"):
             if type(obj[key]) is not str:
                 raise ValueError(f'{p}:{lineno}: "{key}" must be a string, got {json.dumps(obj[key])}')
-        pairs.append((obj["id"], obj["text"]))
-    return pairs
+        doc_id = obj["id"]
+        if doc_id in docs:
+            raise ValueError(f"{p}:{lineno}: duplicate document id {doc_id!r} (first on line {docs[doc_id][0]})")
+        docs[doc_id] = (lineno, obj["text"])
+    return [(doc_id, text) for doc_id, (_, text) in docs.items()]
 
 
 def load_corpus(path: str | Path, corpus_format: str) -> list[tuple[str, str]]:

@@ -11,8 +11,8 @@ m times in S:
     p_term_list(t, L)      = (sum of p_term_snippet over L) / n
     p_snippet_word(w, S)   = m / max
     p_list_word(w, L)      = sum of m_i / max_i over L  (may exceed 1)
-    p_term_word(t, w, S)   = (m / max) / 2 if t occurs in S else 0
-    word_weight(w, L)      = sum of m_i / (2 * max_i) over L
+    p_term_word(t, w, S)   = p_term_snippet(t, S) * p_snippet_word(w, S)
+    word_weight(w, L)      = p_list_word(w, L) / 2
 
 ``word_weight`` is the weight function that maps each unique word of a
 snippet list into the reals; a context pairs those weights with the
@@ -63,19 +63,13 @@ def p_list_word(word: str, snippet_list: SnippetList) -> Fraction:
 
 
 def p_term_word(term: Term | str, word: str, snippet: Snippet) -> Fraction:
-    """Half the snippet-word value when the term occurs in the snippet, else 0."""
-    t = _coerce_term(term)
-    if not contains_phrase(snippet.words, t.tokens):
-        return Fraction(0)
-    return p_snippet_word(word, snippet) / 2
+    """The product :func:`p_term_snippet` times :func:`p_snippet_word`."""
+    return p_term_snippet(term, snippet) * p_snippet_word(word, snippet)
 
 
 def word_weight(word: str, snippet_list: SnippetList) -> Fraction:
-    """The word's weight over a snippet list: sum of m_i / (2 * max_i)."""
-    return sum(
-        (Fraction(s.words.count(word), 2 * s.length) for s in snippet_list.snippets),
-        Fraction(0),
-    )
+    """The word's weight over a snippet list: half of :func:`p_list_word`."""
+    return p_list_word(word, snippet_list) / 2
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,19 @@ class TestIndexCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}:2: invalid JSON: ") and err.count("\n") == 1
 
+    def test_repeated_jsonl_id_is_one_error_line_naming_file_and_lines(self, tmp_path, capsys):
+        path = tmp_path / "docs.jsonl"
+        records = ['{"id": "d1", "text": "a"}', '{"id": "d2", "text": "b"}', "", '{"id": "d1", "text": "c"}']
+        path.write_text("\n".join(records) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(path), "--format", "jsonl"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:4: duplicate document id 'd1' (first on line 1)\n"
+
+    def test_missing_jsonl_file_is_one_error_line_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(path), "--format", "jsonl"])
+        assert (code, out, err) == (1, "", f"error: corpus file not found: {path}\n")
+
     def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         (corpus / "two\nlines.txt").write_bytes(b"\xff")
@@ -251,6 +264,15 @@ class TestStageCommands:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["term"] == "rock"
+
+    def test_out_that_is_a_directory_is_one_error_line_naming_it(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        target = tmp_path / "result"
+        target.mkdir()
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus), "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": {str(target)!r}\n") and err.count("\n") == 1
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestConfigFile:
@@ -610,6 +632,17 @@ class TestPipelineCommand:
         assert {"tree.dot", "shade.json"} <= set(listings[0])
         assert not {"tree.dot", "shade.json"} & set(listings[1])
         assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+
+    def test_bundle_file_that_is_a_directory_is_one_error_line_naming_it(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        blocked = tmp_path / "bundle" / "snippets.json"
+        blocked.mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, ["pipeline", "--corpus", str(corpus), "--out", str(blocked.parent), "rock"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": {str(blocked)!r}\n") and err.count("\n") == 1
+        assert list(blocked.parent.glob(".*.tmp")) == []
 
 
 # A corpus made only from ``Random.random`` draws, which Python keeps stable

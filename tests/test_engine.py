@@ -265,6 +265,20 @@ class TestCorpusLoaders:
         )
         assert load_corpus_jsonl(path) == [("D1", "alpha beta"), ("D2", "gamma")]
 
+    def test_jsonl_repeated_id_reports_both_lines(self, tmp_path):
+        from termspace import load_corpus_jsonl
+
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "D1", "text": "a"}\n{"id": "D1", "text": "b"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"docs.jsonl:2: duplicate document id 'D1' \(first on line 1\)"):
+            load_corpus_jsonl(path)
+
+    def test_unknown_format_rejected_by_name(self, tmp_path):
+        from termspace import load_corpus
+
+        with pytest.raises(ValueError, match="unknown corpus format: 'csv'"):
+            load_corpus(tmp_path, "csv")
+
     def test_jsonl_malformed_line_reports_line_number(self, tmp_path):
         from termspace import load_corpus_jsonl
 

@@ -88,6 +88,10 @@ class TestBuildWordGraph:
         graph = build_word_graph(ctx, index)
         assert graph.weight("ghost", "wraith") == 0
 
+    def test_empty_context_rejected(self, tiny_index):
+        with pytest.raises(ValueError, match="empty context"):
+            build_word_graph(context_of({}), tiny_index)
+
     def test_unknown_measure_rejected(self, tiny_index):
         _, ctx = pipeline_context([("D1", "p q")], "p")
         with pytest.raises(ValueError, match="measure"):

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termspace import (
+    Context,
     Snippet,
     SnippetList,
     Term,
+    WordStat,
     build_context,
     build_index,
     doubleton,
@@ -192,6 +194,20 @@ class TestBuildContext:
         lst = SnippetList(term=Term(("alpha",)), snippets=())
         with pytest.raises(ValueError, match="empty"):
             build_context(lst, tiny_index)
+
+    @pytest.mark.parametrize(
+        "nu_order, mu_order, message",
+        [
+            (("a",), ("a", "b"), "permutations"),
+            (("b", "a"), ("a", "b"), "nu_order must be non-increasing"),
+            (("a", "b"), ("a", "b"), "mu_order must be non-increasing"),
+        ],
+    )
+    def test_orders_that_break_the_invariant_rejected(self, nu_order, mu_order, message):
+        # "a" outweighs "b" in nu; "b" is in more documents.
+        words = {"a": WordStat("a", Fraction(1, 2), 1), "b": WordStat("b", Fraction(1, 4), 2)}
+        with pytest.raises(ValueError, match=message):
+            Context(term=Term(("a",)), words=words, nu_order=nu_order, mu_order=mu_order)
 
     def test_orders_are_permutations(self, tiny_index):
         lst = extract_snippets(tiny_index, "beta", window=2)
