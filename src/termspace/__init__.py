@@ -10,7 +10,6 @@ bytes and the configuration.
 from .engine import (
     BIAS_MODES,
     BiasConfig,
-    Document,
     EventSet,
     Index,
     Term,
@@ -65,7 +64,6 @@ __all__ = [
     "MEASURES",
     "BiasConfig",
     "Context",
-    "Document",
     "EventSet",
     "Index",
     "MicroCluster",

@@ -319,6 +319,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     out_dir = Path(cfg.out or PIPELINE_DEFAULT_DIR)
     _, artifacts = run_pipeline(cfg, args.term)
+    # Removed first and written last, so a bundle without it is incomplete.
+    (out_dir / "report.json").unlink(missing_ok=True)
     for name in set(_ARTIFACT_NAMES).difference(artifacts):
         (out_dir / name).unlink(missing_ok=True)
     for name, text in artifacts.items():

@@ -74,23 +74,16 @@ class Term:
 
 
 @dataclass(frozen=True)
-class Document:
-    """One indexed page: a unique id and its token sequence (may be empty)."""
-
-    id: str
-    tokens: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Index:
     """Immutable inverted index: the document universe plus positional postings.
 
-    ``postings`` maps each token to the documents containing it and the
+    ``documents`` maps each document id to its tokens (maybe none), and
+    ``postings`` each token to the documents containing it and the
     positions at which it occurs. Built once by :func:`build_index`; all
     queries are read-only, so an index is safe to share across threads.
     """
 
-    documents: Mapping[str, Document]
+    documents: Mapping[str, tuple[str, ...]]
     postings: Mapping[str, Mapping[str, tuple[int, ...]]]
 
     @property
@@ -99,7 +92,7 @@ class Index:
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(doc.tokens) for doc in self.documents.values())
+        return sum(map(len, self.documents.values()))
 
 
 @dataclass(frozen=True)
@@ -145,13 +138,12 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     tokenized with :func:`tokenize` and postings record every occurrence
     position.
     """
-    documents: dict[str, Document] = {}
+    documents: dict[str, tuple[str, ...]] = {}
     postings: dict[str, dict[str, list[int]]] = {}
     for doc_id, text in corpus:
         if doc_id in documents:
             raise ValueError(f"duplicate document id: {doc_id!r}")
-        tokens = tuple(tokenize(text))
-        documents[doc_id] = Document(doc_id, tokens)
+        tokens = documents[doc_id] = tuple(tokenize(text))
         for pos, tok in enumerate(tokens):
             postings.setdefault(tok, {}).setdefault(doc_id, []).append(pos)
     frozen = {

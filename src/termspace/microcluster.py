@@ -62,11 +62,11 @@ class WordGraph:
     def edges(self) -> list[Edge]:
         """Edges as (a, b, weight) triples in lexicographic order.
 
-        The rows of the sorted vertex tuple give the sorted pair order, so
+        The pairs of the sorted vertex tuple come in sorted order, so
         nothing is sorted.
         """
-        vertices, weights = self.vertices, self.weights
-        return [(a, b, weights[a, b]) for i, a in enumerate(vertices) for b in vertices[i + 1 :]]
+        weights = self.weights
+        return [(a, b, weights[a, b]) for a, b in combinations(self.vertices, 2)]
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,6 @@ class MirrorShade:
     z: int
 
 
-def _doc_bitsets(words: Sequence[str], index: Index) -> list[int]:
-    # One int per word with bit i set when the word occurs in the index's
-    # i-th document (insertion order); built for the given words only.
-    ordinals = {doc_id: i for i, doc_id in enumerate(index.documents)}
-    width = (len(ordinals) + 7) // 8
-    bitsets = []
-    for w in words:
-        buf = bytearray(width)
-        for doc_id in index.postings.get(w, ()):
-            i = ordinals[doc_id]
-            buf[i >> 3] |= 1 << (i & 7)
-        bitsets.append(int.from_bytes(buf, "little"))
-    return bitsets
-
-
 def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> WordGraph:
     """Complete relation graph on the context words.
 
@@ -140,19 +125,22 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     ratio over the two singleton events (0 when the union is empty).
     Counts are always exact; no bias is applied.
 
-    Each vertex's document set is one ``int`` bitset over document
-    ordinals, so a pair costs one ``&`` and one ``bit_count`` of
-    ``documents / 64`` machine words, and the union size follows from the
-    two set sizes. Weights are shared between pairs with the same
-    ``(intersection, union)`` sizes, so at most one ``Fraction`` is made
-    per distinct pair of sizes (``Fraction`` is immutable).
+    Each vertex's document set, the documents of its postings, is one
+    ``int`` with bit ``i`` set for the index's ``i``-th document, so a
+    pair costs one ``&`` and one ``bit_count`` of ``documents / 64``
+    machine words, and the union size follows from the two set sizes.
+    Weights are shared between pairs with the same ``(intersection,
+    union)`` sizes, so at most one ``Fraction`` is made per distinct pair
+    of sizes (``Fraction`` is immutable).
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if not ctx.words:
         raise ValueError("cannot build a graph from an empty context")
     vertices = tuple(sorted(ctx.words))
-    bitsets = _doc_bitsets(vertices, index)
+    bit = {doc_id: 1 << i for i, doc_id in enumerate(index.documents)}
+    # Distinct powers of two, so their sum is their union.
+    bitsets = [sum(map(bit.__getitem__, index.postings.get(w, ()))) for w in vertices]
     sizes = [b.bit_count() for b in bitsets]
     jaccard = measure == "jaccard"
     memo: dict[tuple[int, int], Fraction] = {}

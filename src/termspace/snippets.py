@@ -91,7 +91,7 @@ def extract_snippets(
     m = len(t.tokens)
     collected: list[Snippet] = []
     for doc_id in sorted(singleton(index, t).doc_ids):
-        doc_tokens = index.documents[doc_id].tokens
+        doc_tokens = index.documents[doc_id]
         starts = sorted(_phrase_starts(postings, doc_id))
         for pos in starts[:per_doc_limit]:
             start = max(0, pos - window)

@@ -644,6 +644,25 @@ class TestPipelineCommand:
         assert err.startswith("error: ") and err.endswith(f": {str(blocked)!r}\n") and err.count("\n") == 1
         assert list(blocked.parent.glob(".*.tmp")) == []
 
+    @pytest.mark.parametrize(
+        "name", ["snippets.json", "context.json", "graph.dot", "tree.dot", "shade.json", "report.json"]
+    )
+    def test_failed_rerun_leaves_no_report_or_the_old_bundle(self, tmp_path, capsys, name):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        out_dir = tmp_path / "bundle"
+        code, out, _ = run_cli(capsys, ["pipeline", "--corpus", str(corpus), "--out", str(out_dir), "rain"])
+        assert code == 0 and name in json.loads(out)["artifacts"]
+        rain = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != name}
+        blocked = out_dir / name
+        blocked.unlink()
+        blocked.mkdir()
+        code, out, err = run_cli(capsys, ["pipeline", "--corpus", str(corpus), "--out", str(out_dir), "rock"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.endswith(f": {str(blocked)!r}\n") and err.count("\n") == 1
+        assert list(out_dir.glob(".*.tmp")) == []
+        if (out_dir / "report.json").is_file():
+            assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != name} == rain
+
 
 # A corpus made only from ``Random.random`` draws, which Python keeps stable
 # across versions for a given seed. Ids are assigned out of sorted order.

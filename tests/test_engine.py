@@ -136,7 +136,7 @@ class TestBuildIndex:
             for token, docs in index.postings.items():
                 for doc_id, positions in docs.items():
                     for pos in positions:
-                        assert index.documents[doc_id].tokens[pos] == token
+                        assert index.documents[doc_id][pos] == token
 
 
 class TestSingleton:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import types
 from fractions import Fraction
 
+import termspace
 from termspace import (
     build_context,
     build_index,
@@ -105,3 +107,16 @@ def test_dump_json_is_stable():
     assert text == dump_json(payload)
     assert text.endswith("\n")
     assert json.loads(text) == payload
+
+
+def test_export_list_is_every_public_name_of_the_package():
+    public = {
+        name
+        for name, value in vars(termspace).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(termspace.__all__) == len(set(termspace.__all__))
+    assert set(termspace.__all__) == public
+    star: dict = {}
+    exec("from termspace import *", star)  # raises for a listed name the package does not bind
+    assert set(star) - {"__builtins__"} == public

@@ -151,6 +151,23 @@ class TestBuildWordGraph:
             checked += 1
         assert checked >= 10
 
+    def test_document_sets_wider_than_a_machine_word(self):
+        # 130 documents: "z" sits on bit 63 alone, "y" on bits 64..129, "x" on bits 0 and 129.
+        n = 130
+        corpus = []
+        for i in range(n):
+            words = ["x"] * (i in (0, n - 1)) + ["y"] * (i >= n - 66) + ["z"] * (i == 63)
+            corpus.append((f"d{i:03d}", " ".join(words) or "filler"))
+        index = build_index(corpus)
+        ctx = context_of({"x": (Fraction(1, 2), 2), "y": (Fraction(1, 3), 66), "z": (Fraction(1, 4), 1)})
+        jaccard = build_word_graph(ctx, index, measure="jaccard")
+        counts = build_word_graph(ctx, index, measure="doubleton_count")
+        assert jaccard.weight("x", "y") == Fraction(1, 67)
+        for a, b, w in jaccard.edges():
+            assert w == brute_jaccard(corpus, a, b)
+        for a, b, w in counts.edges():
+            assert w == len(brute_singleton(corpus, [a]) & brute_singleton(corpus, [b]))
+
 
 class TestMicroCluster:
     CTX = {"high": (Fraction(1, 2), 5), "mid": (Fraction(3, 10), 2), "low": (Fraction(1, 10), 7)}
