@@ -10,14 +10,16 @@ by real search engines.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 BIAS_MODES = ("none", "additive", "multiplicative")
 
@@ -131,26 +133,53 @@ class BiasConfig:
             raise ValueError("bias magnitude must be non-negative")
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector for the block, then restore its previous setting."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     """Index a corpus of ``(id, raw text)`` pairs.
 
     Ids must be unique; a duplicate is rejected by name. Documents are
     tokenized with :func:`tokenize` and postings record every occurrence
-    position.
+    position: one pass per document gathers each token's positions, and
+    the postings store them as one tuple per (token, document), tokens in
+    order of first occurrence and documents in corpus order.
+
+    The cyclic garbage collector is paused while building (and its
+    previous setting restored): the build makes no reference cycles, so
+    reference counting frees everything it discards, and the collections
+    the millions of new containers would otherwise trigger are pure cost.
     """
     documents: dict[str, tuple[str, ...]] = {}
-    postings: dict[str, dict[str, list[int]]] = {}
-    for doc_id, text in corpus:
-        if doc_id in documents:
-            raise ValueError(f"duplicate document id: {doc_id!r}")
-        tokens = documents[doc_id] = tuple(tokenize(text))
-        for pos, tok in enumerate(tokens):
-            postings.setdefault(tok, {}).setdefault(doc_id, []).append(pos)
-    frozen = {
-        tok: {doc_id: tuple(positions) for doc_id, positions in docs.items()}
-        for tok, docs in postings.items()
-    }
-    return Index(documents=documents, postings=frozen)
+    postings: dict[str, dict[str, tuple[int, ...]]] = {}
+    with _gc_paused():
+        for doc_id, text in corpus:
+            if doc_id in documents:
+                raise ValueError(f"duplicate document id: {doc_id!r}")
+            tokens = documents[doc_id] = tuple(tokenize(text))
+            positions: dict[str, list[int]] = {}
+            for pos, tok in enumerate(tokens):
+                where = positions.get(tok)
+                if where is None:
+                    positions[tok] = [pos]
+                else:
+                    where.append(pos)
+            for tok, where in positions.items():
+                docs = postings.get(tok)
+                if docs is None:
+                    postings[tok] = {doc_id: tuple(where)}
+                else:
+                    docs[doc_id] = tuple(where)
+    return Index(documents=documents, postings=postings)
 
 
 def occurrence_positions(haystack: Sequence[str], needle: Sequence[str]) -> list[int]:

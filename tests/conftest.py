@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -9,6 +10,19 @@ import pytest
 from termspace import build_index
 
 ALPHABET = tuple(f"w{i}" for i in range(8))
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test after which the cyclic garbage collector is disabled, and re-enable it.
+
+    Later tests would still pass with it disabled, only slower, so a leak
+    would otherwise go unnoticed.
+    """
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def random_corpus(rng: random.Random, max_docs=10, max_tokens=30, alphabet=ALPHABET, min_docs=1):

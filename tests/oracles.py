@@ -51,6 +51,30 @@ def brute_doubleton(corpus, tx_tokens, ty_tokens):
     return brute_singleton(corpus, tx_tokens) & brute_singleton(corpus, ty_tokens)
 
 
+def brute_index(corpus):
+    """Reference positional index: ``(documents, postings)`` as ordered lists.
+
+    ``documents`` lists ``(doc_id, tokens)`` in corpus order. ``postings``
+    lists every token in order of its first occurrence in the corpus, each
+    with the documents that hold it, in corpus order, and for each document
+    the ascending positions at which the token occurs.
+    """
+    documents = [(doc_id, scan_tokenize(text)) for doc_id, text in corpus]
+    vocabulary = dict.fromkeys(tok for _, tokens in documents for tok in tokens)
+    postings = [
+        (
+            tok,
+            [
+                (doc_id, [pos for pos, t in enumerate(tokens) if t == tok])
+                for doc_id, tokens in documents
+                if tok in tokens
+            ],
+        )
+        for tok in vocabulary
+    ]
+    return documents, postings
+
+
 def window_snippets(corpus, term_tokens, window, per_doc_limit):
     """Reference snippet extraction: (doc_id, word list) pairs in output order."""
     out = []

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +26,14 @@ from termspace import (
     tokenize,
 )
 
-from oracles import brute_doubleton, brute_singleton, loop_tokenize, scan_tokenize, window_snippets
+from oracles import (
+    brute_doubleton,
+    brute_index,
+    brute_singleton,
+    loop_tokenize,
+    scan_tokenize,
+    window_snippets,
+)
 
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
 DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
@@ -137,6 +149,125 @@ class TestBuildIndex:
                 for doc_id, positions in docs.items():
                     for pos in positions:
                         assert index.documents[doc_id][pos] == token
+
+
+def as_brute_index(index):
+    """``index`` in the shape of :func:`oracles.brute_index`: ordered lists, positions as lists."""
+    documents = [(doc_id, list(tokens)) for doc_id, tokens in index.documents.items()]
+    postings = [
+        (tok, [(doc_id, list(positions)) for doc_id, positions in docs.items()])
+        for tok, docs in index.postings.items()
+    ]
+    return documents, postings
+
+
+class TestIndexOracle:
+    """``build_index`` against the definition, key and document order included."""
+
+    def assert_matches_oracle(self, corpus):
+        index = build_index(corpus)
+        assert as_brute_index(index) == brute_index(corpus)
+        for docs in index.postings.values():
+            for positions in docs.values():
+                assert type(positions) is tuple
+                assert all(type(pos) is int for pos in positions)
+
+    def test_random_corpora_match_oracle(self):
+        rng = random.Random(41)
+        from conftest import random_corpus
+
+        for _ in range(60):
+            self.assert_matches_oracle(random_corpus(rng, min_docs=0))
+
+    def test_random_mixed_case_and_non_ascii_corpora_match_oracle(self):
+        rng = random.Random(43)
+        from conftest import random_corpus
+
+        alphabet = ("w0", "W0", "café", "ÉTÉ", "x-y", "日本", "αθηνα", "42", "a_b")
+        for _ in range(40):
+            self.assert_matches_oracle(random_corpus(rng, alphabet=alphabet))
+
+    def test_document_without_tokens_is_in_documents_only(self):
+        corpus = [("a", "x y"), ("blank", " ,.; -- "), ("b", "y")]
+        index = build_index(corpus)
+        assert list(index.documents) == ["a", "blank", "b"]
+        assert index.documents["blank"] == ()
+        assert all("blank" not in docs for docs in index.postings.values())
+        self.assert_matches_oracle(corpus)
+
+    def test_token_repeated_within_a_document(self):
+        corpus = [("d1", "go stop go go"), ("d2", "stop go")]
+        index = build_index(corpus)
+        assert index.postings["go"] == {"d1": (0, 2, 3), "d2": (1,)}
+        assert list(index.postings) == ["go", "stop"]
+        self.assert_matches_oracle(corpus)
+
+    def test_non_ascii_token(self):
+        corpus = [("d1", "Émile ate CRÊPES"), ("d2", "crêpes à Paris")]
+        index = build_index(corpus)
+        assert index.postings["crêpes"] == {"d1": (2,), "d2": (0,)}
+        assert list(index.postings) == ["émile", "ate", "crêpes", "à", "paris"]
+        self.assert_matches_oracle(corpus)
+
+
+@pytest.fixture(params=[True, False], ids=["collector_enabled", "collector_disabled"])
+def collector(request):
+    """Set the cyclic garbage collector from the param for the test; re-enable it after."""
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    gc.enable()
+
+
+def failing_corpus():
+    yield ("a", "x y")
+    yield ("b", "y z")
+    raise RuntimeError("corpus read failed")
+
+
+class TestCollectorState:
+    """``build_index`` pauses the cyclic collector and restores its previous setting."""
+
+    def test_restored_after_build(self, collector):
+        build_index([("a", "x y"), ("b", "y z")])
+        assert gc.isenabled() is collector
+
+    def test_restored_after_duplicate_id_in_third_document(self, collector):
+        with pytest.raises(ValueError, match="duplicate document id: 'a'"):
+            build_index([("a", "x"), ("b", "y"), ("a", "z")])
+        assert gc.isenabled() is collector
+
+    def test_restored_after_corpus_raises_part_way(self, collector):
+        with pytest.raises(RuntimeError, match="corpus read failed"):
+            build_index(failing_corpus())
+        assert gc.isenabled() is collector
+
+
+def test_conftest_guard_fails_a_test_that_leaves_the_collector_disabled(tmp_path):
+    (tmp_path / "test_leak.py").write_text(
+        "import gc\n"
+        "def test_leaves_collector_disabled():\n"
+        "    gc.disable()\n"
+        "def test_runs_after_with_collector_enabled():\n"
+        "    assert gc.isenabled()\n",
+        encoding="utf-8",
+    )
+    tests_dir = Path(__file__).parent
+    src_dir = Path(build_index.__code__.co_filename).parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "conftest", "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), str(tmp_path / "test_leak.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests_dir), str(src_dir)])},
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "2 passed, 1 error" in result.stdout
+    assert "left the cyclic garbage collector disabled" in result.stdout
 
 
 class TestSingleton:
