@@ -14,7 +14,6 @@ from .engine import (
     Index,
     Term,
     build_index,
-    contains_phrase,
     doubleton,
     hit_count,
     load_corpus,
@@ -78,7 +77,6 @@ __all__ = [
     "build_context",
     "build_index",
     "build_word_graph",
-    "contains_phrase",
     "context_to_dict",
     "doubleton",
     "extract_snippets",

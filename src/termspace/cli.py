@@ -32,8 +32,8 @@ from .jsonio import count_value, dump_json, rational_str
 from .microcluster import (
     MEASURES,
     MicroCluster,
-    TreeCluster,
     WordGraph,
+    _threshold,
     build_word_graph,
     graph_to_dict,
     graph_to_dot,
@@ -86,11 +86,11 @@ class RunConfig:
     bias: BiasConfig = field(init=False)
 
     def __post_init__(self) -> None:
-        for key, parse in (("alpha", lambda v: Fraction(str(v))), ("bias_magnitude", float)):
-            try:
-                setattr(self, key, parse(getattr(self, key)))
-            except (ArithmeticError, ValueError):
-                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)!r}") from None
+        self.alpha = _threshold(self.alpha)
+        try:
+            self.bias_magnitude = float(self.bias_magnitude)
+        except (ArithmeticError, ValueError):
+            raise ValueError(f"bias_magnitude must be a finite number, got {self.bias_magnitude!r}") from None
         self.bias = BiasConfig(self.bias_mode, self.bias_magnitude, self.seed)
 
 
@@ -179,16 +179,15 @@ class StageResult:
     context: Context | None = None
     graph: WordGraph | None = None
     cluster: MicroCluster | None = None
-    tree: TreeCluster | None = None
 
 
 def run_stages(cfg: RunConfig, term_text: str | None, last: str, lenient: bool = False) -> StageResult:
-    """Load the index and run snippets, context, graph, cluster and tree.
+    """Load the index and run snippets, context, graph and cluster.
 
     ``last`` is the stage to stop after: ``"index"`` (no term needed),
-    ``"snippets"``, ``"context"`` or ``"tree"`` (built only for a non-empty
-    cluster). A context that cannot be built (no snippets, or no word left
-    after stopword removal) raises ``ValueError``, or with ``lenient`` ends the run.
+    ``"snippets"``, ``"context"`` or ``"cluster"`` (a command that prints a
+    tree builds it). A context that cannot be built (no snippets, or no word
+    left after stopword removal) raises ``ValueError``, or with ``lenient`` ends the run.
     """
     # Checked here as well, before the corpus is read, so the message names the config key and flag.
     if last != "index" and cfg.per_doc_limit < 1:
@@ -210,14 +209,12 @@ def run_stages(cfg: RunConfig, term_text: str | None, last: str, lenient: bool =
         return result
     result.graph = build_word_graph(result.context, result.index, cfg.measure)
     result.cluster = micro_cluster(result.graph, result.context, cfg.alpha)
-    if not result.cluster.is_empty:
-        result.tree = optimal_micro_cluster(result.cluster)
     return result
 
 
-def _shades(result: StageResult) -> dict:
+def _shades(mc: MicroCluster, index: Index) -> dict:
     # A tree keeps its cluster's words (``optimal_micro_cluster``), so one shade serves both.
-    shade = shade_to_dict(mirror_shade(result.cluster.words, result.index))
+    shade = None if mc.is_empty else shade_to_dict(mirror_shade(mc.words, index))
     return {"cluster": shade, "tree": shade}
 
 
@@ -244,13 +241,13 @@ def _cluster_payload(result: StageResult, *_) -> dict:
     return {
         "graph": graph_to_dict(result.graph),
         "cluster": {"alpha": rational_str(mc.alpha), "words": list(mc.words), "empty": mc.is_empty},
-        "tree": None if result.tree is None else tree_to_dict(result.tree),
+        "tree": None if mc.is_empty else tree_to_dict(optimal_micro_cluster(mc)),
     }
 
 
 def _shade_payload(result: StageResult, *_) -> dict:
-    shades = {"cluster": None, "tree": None} if result.tree is None else _shades(result)
-    return {"alpha": rational_str(result.cluster.alpha), "empty": result.tree is None, **shades}
+    mc = result.cluster
+    return {"alpha": rational_str(mc.alpha), "empty": mc.is_empty, **_shades(mc, result.index)}
 
 
 # command -> (last stage it runs, its stdout payload from the results, the arguments and the config)
@@ -259,8 +256,8 @@ _STAGE_COMMANDS = {
     "query": ("index", _query_payload),
     "snippets": ("snippets", lambda result, *_: snippets_to_dict(result.snippets)),
     "context": ("context", lambda result, *_: context_to_dict(result.context)),
-    "cluster": ("tree", _cluster_payload),
-    "shade": ("tree", _shade_payload),
+    "cluster": ("cluster", _cluster_payload),
+    "shade": ("cluster", _shade_payload),
 }
 
 
@@ -279,15 +276,16 @@ def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
     Returns the report and a name-to-text map of the files to write.
     Empty intermediate stages are reported, never fatal.
     """
-    result = run_stages(cfg, term_text, "tree", lenient=True)
-    snippets, ctx, mc, tree = result.snippets, result.context, result.cluster, result.tree
+    result = run_stages(cfg, term_text, "cluster", lenient=True)
+    snippets, ctx, mc = result.snippets, result.context, result.cluster
+    tree = None if mc is None or mc.is_empty else optimal_micro_cluster(mc)
     artifacts = {"snippets.json": dump_json(snippets_to_dict(snippets))}
     if ctx is not None:
         artifacts["context.json"] = dump_json(context_to_dict(ctx))
         artifacts["graph.dot"] = graph_to_dot(result.graph)
     if tree is not None:
         artifacts["tree.dot"] = tree_to_dot(tree)
-        shades = _shades(result)
+        shades = _shades(mc, result.index)
         artifacts["shade.json"] = dump_json(shades)
     report = {
         "term": snippets.term.text,

@@ -191,11 +191,6 @@ def occurrence_positions(haystack: Sequence[str], needle: Sequence[str]) -> list
     return [i for i in range(n - m + 1) if tuple(haystack[i : i + m]) == target]
 
 
-def contains_phrase(haystack: Sequence[str], needle: Sequence[str]) -> bool:
-    """True when ``needle`` occurs contiguously inside ``haystack``."""
-    return bool(occurrence_positions(haystack, needle))
-
-
 def _coerce_term(term: Term | str) -> Term:
     return term if isinstance(term, Term) else Term.parse(term)
 

@@ -158,17 +158,25 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     return WordGraph(vertices=vertices, weights=weights)
 
 
+def _threshold(alpha: Fraction | int | float | str) -> Fraction:
+    """``alpha`` read as ``Fraction(str(alpha))``, so the float ``0.1`` is 1/10; finite and non-negative."""
+    try:
+        if (threshold := Fraction(str(alpha))) >= 0:
+            return threshold
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"alpha must be a finite number, got {alpha!r}") from None
+    raise ValueError(f"alpha must be non-negative, got {alpha!r}")
+
+
 def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float | str) -> MicroCluster:
     """Retain the context words whose weight is at least ``alpha``.
 
     The retained words induce a complete subgraph of ``graph``, whose
     weights are looked up pair by pair among the retained words only. A
     threshold above every weight yields an empty cluster rather than an
-    error.
+    error. ``alpha`` is read as ``Fraction(str(alpha))``, as ``--alpha`` is: ``0.1`` is 1/10.
     """
-    threshold = Fraction(alpha)
-    if threshold < 0:
-        raise ValueError("alpha must be non-negative")
+    threshold = _threshold(alpha)
     retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
     sub_vertices = tuple(sorted(retained))
     weights = graph.weights

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import AbstractSet, Mapping
 
-from .engine import Index, Term, _coerce_term, contains_phrase
+from .engine import Index, Term, _coerce_term, occurrence_positions
 from .jsonio import rational_str
 from .snippets import Snippet, SnippetList
 
@@ -37,7 +37,7 @@ HALF = Fraction(1, 2)
 def p_term_snippet(term: Term | str, snippet: Snippet) -> Fraction:
     """1/2 when the term occurs in the snippet, else 0."""
     t = _coerce_term(term)
-    return HALF if contains_phrase(snippet.words, t.tokens) else Fraction(0)
+    return HALF if occurrence_positions(snippet.words, t.tokens) else Fraction(0)
 
 
 def p_term_list(term: Term | str, snippet_list: SnippetList) -> Fraction:

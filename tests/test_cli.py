@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from termspace import cli
 from termspace.cli import _CONFIG_KEYS, build_parser, main, resolve_config
+from termspace.microcluster import optimal_micro_cluster
 
 from oracles import brute_context, brute_singleton, window_snippets
 
@@ -439,6 +441,12 @@ class TestAlpha:
         assert err.startswith("error: alpha ") and err.count("\n") == 1
         assert repr(alpha) in err
 
+    @pytest.mark.parametrize("command", ["index", "query", "cluster"])
+    def test_negative_alpha_is_rejected_before_the_corpus_is_read(self, tmp_path, capsys, command):
+        argv = [command, "--corpus", str(tmp_path / "missing"), "--alpha=-1/4", "rock"]
+        code, out, err = run_cli(capsys, argv[:-1] if command == "index" else argv)
+        assert (code, out, err) == (1, "", "error: alpha must be non-negative, got '-1/4'\n")
+
     def test_alpha_from_config_number_equals_flag_fraction(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         config = tmp_path / "run.json"
@@ -779,7 +787,9 @@ GOLDEN_OUTPUTS = [
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_OUTPUTS, ids=[" ".join(a) for a, _ in GOLDEN_OUTPUTS])
-def test_command_output_digests_match_recorded(tmp_path, capsys, argv, expected):
+def test_command_output_digests_match_recorded(tmp_path, capsys, monkeypatch, argv, expected):
+    if argv[0] == "shade":  # a tree keeps its cluster's words, so the shade is read from the cluster
+        monkeypatch.setattr(cli, "optimal_micro_cluster", lambda mc: pytest.fail("shade built a tree"))
     corpus = write_corpus(tmp_path, golden_corpus())
     stopwords = tmp_path / "stopwords.txt"
     stopwords.write_text("the\nof\nand\na\n", encoding="utf-8")
@@ -794,6 +804,25 @@ def test_command_output_digests_match_recorded(tmp_path, capsys, argv, expected)
     assert (code, out) == (0, "")
     assert [p.name for p in out_dir.iterdir()] == ["r.json"]
     assert hashlib.sha256((out_dir / "r.json").read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("alpha", ["0", "99"])
+@pytest.mark.parametrize("command, trees", [("cluster", 1), ("pipeline", 1), ("shade", 0)])
+def test_tree_is_built_once_where_it_is_printed(tmp_path, capsys, monkeypatch, command, trees, alpha):
+    # ``--alpha 99`` is above every word weight, so the cluster is empty and no tree is built.
+    built = []
+
+    def counted(mc):
+        built.append(mc)
+        return optimal_micro_cluster(mc)
+
+    monkeypatch.setattr(cli, "optimal_micro_cluster", counted)
+    corpus = write_corpus(tmp_path, FIXTURE)
+    argv = [command, "--corpus", str(corpus), "--alpha", alpha, "--out", str(tmp_path / "out"), "rock"]
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(built) == (trees if alpha == "0" else 0)
+    assert not any(mc.is_empty for mc in built)
 
 
 # SHA-256 of ``--help`` at 80 columns, recorded while a usage error still

@@ -196,6 +196,32 @@ class TestMicroCluster:
         with pytest.raises(ValueError, match="alpha"):
             self.make(-1)
 
+    @pytest.mark.parametrize("alpha", ["abc", "1/0", True, float("inf"), float("nan")])
+    def test_malformed_threshold_error_names_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must be a finite number, got "):
+            self.make(alpha)
+
+    def test_float_threshold_means_its_shortest_repr(self):
+        # Every word scores exactly 1/10; the binary float 0.1 is a little above that.
+        index, ctx = pipeline_context([("D1", "pivot a b c d")], "pivot", window=4)
+        assert {stat.nu for stat in ctx.words.values()} == {Fraction(1, 10)}
+        graph = build_word_graph(ctx, index)
+        clusters = [micro_cluster(graph, ctx, alpha) for alpha in (0.1, "0.1", "1/10", Fraction(1, 10))]
+        assert clusters[0].words == ("a", "b", "c", "d", "pivot")
+        assert all(mc == clusters[0] for mc in clusters)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.3])
+    def test_float_threshold_equals_its_string_form(self, alpha):
+        # Word weights equal to each float's shortest repr, on both sides of the binary value.
+        ctx = context_of({"a": (Fraction(3, 10), 1), "b": (Fraction(1, 10), 1), "c": (Fraction(1, 20), 1)})
+        graph = graph_of({("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 3})
+        mc = micro_cluster(graph, ctx, alpha)
+        assert mc == micro_cluster(graph, ctx, str(alpha))
+        assert mc.alpha == Fraction(str(alpha))
+        assert mc.words == tuple(w for w in "abc" if ctx.words[w].nu >= Fraction(str(alpha)))
+        with pytest.raises(ValueError, match="alpha"):
+            micro_cluster(graph, ctx, -alpha)
+
     def test_induced_graph_is_complete_on_retained_words(self):
         mc = self.make(Fraction(1, 4))
         assert mc.graph.vertices == ("high", "mid")

@@ -12,7 +12,6 @@ from termspace import (
     Snippet,
     Term,
     build_index,
-    contains_phrase,
     extract_snippets,
     occurrence_positions,
     singleton,
@@ -119,7 +118,7 @@ def test_snippet_invariants(corpus, window, limit):
     event = singleton(index, term)
     assert result.n <= limit * event.cardinality
     for snippet in result.snippets:
-        assert contains_phrase(snippet.words, term.tokens)
+        assert occurrence_positions(snippet.words, term.tokens)
         assert snippet.length <= 2 * window + len(term.tokens)
         for start, end in snippet.term_spans:
             assert snippet.words[start:end] == term.tokens
