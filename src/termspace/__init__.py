@@ -7,6 +7,8 @@ normalized shade vectors. Everything is a pure function of the corpus
 bytes and the configuration.
 """
 
+from types import ModuleType as _ModuleType
+
 from .engine import (
     BIAS_MODES,
     BiasConfig,
@@ -57,50 +59,5 @@ from .triplet import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BIAS_MODES",
-    "MAX_WINDOW",
-    "MEASURES",
-    "BiasConfig",
-    "Context",
-    "EventSet",
-    "Index",
-    "MicroCluster",
-    "MirrorShade",
-    "ShadeEntry",
-    "Snippet",
-    "SnippetList",
-    "Term",
-    "TreeCluster",
-    "WordGraph",
-    "WordStat",
-    "build_context",
-    "build_index",
-    "build_word_graph",
-    "context_to_dict",
-    "doubleton",
-    "extract_snippets",
-    "graph_to_dict",
-    "graph_to_dot",
-    "hit_count",
-    "load_corpus",
-    "load_corpus_dir",
-    "load_corpus_jsonl",
-    "micro_cluster",
-    "mirror_shade",
-    "occurrence_positions",
-    "optimal_micro_cluster",
-    "p_list_word",
-    "p_snippet_word",
-    "p_term_list",
-    "p_term_snippet",
-    "p_term_word",
-    "shade_to_dict",
-    "singleton",
-    "snippets_to_dict",
-    "tokenize",
-    "tree_to_dict",
-    "tree_to_dot",
-    "verify_theorem",
-    "word_weight",
-]
+# Every public, non-module name bound above: the imports are the one list of the API.
+__all__ = sorted(name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType))

@@ -250,14 +250,15 @@ def _shade_payload(result: StageResult, *_) -> dict:
     return {"alpha": rational_str(mc.alpha), "empty": mc.is_empty, **_shades(mc, result.index)}
 
 
-# command -> (last stage it runs, its stdout payload from the results, the arguments and the config)
+# command -> (its help, the last stage it runs, its stdout payload from the results, the arguments and the config)
 _STAGE_COMMANDS = {
-    "index": ("index", _index_payload),
-    "query": ("index", _query_payload),
-    "snippets": ("snippets", lambda result, *_: snippets_to_dict(result.snippets)),
-    "context": ("context", lambda result, *_: context_to_dict(result.context)),
-    "cluster": ("cluster", _cluster_payload),
-    "shade": ("cluster", _shade_payload),
+    "index": ("index the corpus and print a summary", "index", _index_payload),
+    "query": ("count documents for one or two terms", "index", _query_payload),
+    "snippets": ("extract word windows around a term", "snippets",
+                 lambda result, *_: snippets_to_dict(result.snippets)),
+    "context": ("build the weighted word set of a term", "context", lambda result, *_: context_to_dict(result.context)),
+    "cluster": ("build the relation graph, threshold cluster, and tree", "cluster", _cluster_payload),
+    "shade": ("export the shade vectors of the cluster and its tree", "cluster", _shade_payload),
 }
 
 
@@ -265,7 +266,7 @@ def cmd_stage(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if args.command == "query" and len(args.terms) not in (1, 2):
         raise ValueError("query takes one or two terms")
-    last, payload = _STAGE_COMMANDS[args.command]
+    _, last, payload = _STAGE_COMMANDS[args.command]
     _write(dump_json(payload(run_stages(cfg, args.term, last), args, cfg)), cfg.out)
     return 0
 
@@ -345,15 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)  # subparsers are ``_ArgumentParser``s too
 
-    for name, help_text in (
-        ("index", "index the corpus and print a summary"),
-        ("query", "count documents for one or two terms"),
-        ("snippets", "extract word windows around a term"),
-        ("context", "build the weighted word set of a term"),
-        ("cluster", "build the relation graph, threshold cluster, and tree"),
-        ("shade", "export the shade vectors of the cluster and its tree"),
-        ("pipeline", "run every stage and write the artifact bundle"),
-    ):
+    commands = {name: entry[0] for name, entry in _STAGE_COMMANDS.items()}
+    for name, help_text in {**commands, "pipeline": "run every stage and write the artifact bundle"}.items():
         p = sub.add_parser(name, parents=[shared], help=help_text)
         p.set_defaults(func=cmd_pipeline if name == "pipeline" else cmd_stage, term=None)
         if name == "query":

@@ -10,10 +10,12 @@ its maximum, is the cluster's mirror shade.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, repeat
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Iterable, Mapping, Sequence
 
 from .engine import Index, Term
@@ -51,10 +53,11 @@ class WordGraph:
             map(self.weights.__contains__, combinations(vertices, 2))
         ):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
-        # A weight without a numerator (a float) stands for its own sign.
+        # A weight without a numerator (a float) stands for its own sign; a NaN fails ``0 <=`` as a negative does.
         values = self.weights.values()
-        if min(map(getattr, values, repeat("numerator"), values), default=0) < 0:
-            raise ValueError("edge weights must be non-negative")
+        if not all(map(le, repeat(0), map(getattr, values, repeat("numerator"), values))):
+            nan = any(w != w for w in values)
+            raise ValueError("edge weights must not be NaN" if nan else "edge weights must be non-negative")
 
     def weight(self, a: str, b: str) -> Fraction:
         return self.weights[(a, b) if a < b else (b, a)]
@@ -159,13 +162,25 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
 
 
 def _threshold(alpha: Fraction | int | float | str) -> Fraction:
-    """``alpha`` read as ``Fraction(str(alpha))``, so the float ``0.1`` is 1/10; finite and non-negative."""
+    """``alpha`` as a ``Fraction`` that reports print as itself: 0, or up to the largest float, never rounded to 0.
+
+    An ``int`` or ``Fraction`` is taken as it is, anything else read from its
+    ``str`` (the float ``0.1`` is 1/10). A decimal is read as a ``Decimal``,
+    which keeps its exponent, so ``1e999999999`` builds no ``10 ** 999999999``.
+    """
+    exact = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
+    got = "" if exact else f", got {alpha!r}"  # the repr of a huge int or Fraction raises past int's digit limit
     try:
-        if (threshold := Fraction(str(alpha))) >= 0:
-            return threshold
+        value = alpha if exact else Fraction(text) if "/" in (text := str(alpha)) else Decimal(text)
+        if isinstance(value, Decimal) and not value.is_finite():
+            raise ValueError
     except (ArithmeticError, ValueError):
-        raise ValueError(f"alpha must be a finite number, got {alpha!r}") from None
-    raise ValueError(f"alpha must be non-negative, got {alpha!r}")
+        raise ValueError(f"alpha must be a finite number{got}") from None
+    if value < 0:
+        raise ValueError(f"alpha must be non-negative{got}")
+    if value and not (value <= sys.float_info.max and float(value)):
+        raise ValueError(f"alpha must be 0 or within float range, 5e-324 to 1.8e308{got}")
+    return Fraction(value)
 
 
 def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float | str) -> MicroCluster:
@@ -174,7 +189,7 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     The retained words induce a complete subgraph of ``graph``, whose
     weights are looked up pair by pair among the retained words only. A
     threshold above every weight yields an empty cluster rather than an
-    error. ``alpha`` is read as ``Fraction(str(alpha))``, as ``--alpha`` is: ``0.1`` is 1/10.
+    error. ``alpha`` is read by the rule ``--alpha`` follows: ``0.1`` is 1/10, and 1e400 is rejected.
     """
     threshold = _threshold(alpha)
     retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)

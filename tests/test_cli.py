@@ -447,6 +447,33 @@ class TestAlpha:
         code, out, err = run_cli(capsys, argv[:-1] if command == "index" else argv)
         assert (code, out, err) == (1, "", "error: alpha must be non-negative, got '-1/4'\n")
 
+    # Each is outside float range, where a report cannot print it as itself. The last two
+    # make ``Fraction`` build an integer of ten million digits or more if it reads them.
+    OUT_OF_RANGE = ["1e400", "1e5000", "1e-5000", "1e-400", "1e10000000", "1e999999999"]
+
+    @pytest.mark.parametrize("alpha", OUT_OF_RANGE)
+    @pytest.mark.parametrize("corpus", ["present", "missing"])
+    @pytest.mark.parametrize("command", ["cluster", "shade", "pipeline"])
+    def test_alpha_out_of_float_range_is_one_error_line_before_the_corpus_is_read(
+        self, tmp_path, capsys, command, corpus, alpha
+    ):
+        path = write_corpus(tmp_path, FIXTURE) if corpus == "present" else tmp_path / "missing"
+        argv = [command, "--corpus", str(path), "--alpha", alpha, "--out", str(tmp_path / "out"), "rock"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: alpha must be 0 or within float range, 5e-324 to 1.8e308, got {alpha!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_pipeline_rerun_with_alpha_out_of_float_range_keeps_the_bundle(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        out_dir = tmp_path / "bundle"
+        argv = ["pipeline", "--corpus", str(corpus), "--out", str(out_dir), "rock"]
+        assert run_cli(capsys, argv)[0] == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        code, out, err = run_cli(capsys, argv[:-1] + ["--alpha", "1e400", "rock"])
+        assert (code, out) == (1, "") and err.startswith("error: alpha ") and err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
     def test_alpha_from_config_number_equals_flag_fraction(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         config = tmp_path / "run.json"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -200,6 +202,29 @@ class TestMicroCluster:
     def test_malformed_threshold_error_names_alpha(self, alpha):
         with pytest.raises(ValueError, match=r"^alpha must be a finite number, got "):
             self.make(alpha)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [Fraction(1, 10**5000), Fraction(10**5000), 10**400, "1e400", "1e-400", "1/1" + "0" * 400,
+         "1e10000000", "1e999999999", "1e-999999999", "2.47e-324", "1.7976931348623158e308"],
+        ids=["tiny-fraction", "huge-fraction", "huge-int", "1e400", "1e-400", "1/10**400",
+             "1e10000000", "1e999999999", "1e-999999999",
+             "rounds-to-zero", "above-largest-float-rounding-down-to-it"],
+    )
+    def test_threshold_outside_float_range_is_rejected_at_once(self, alpha):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^alpha must be 0 or within float range, 5e-324 to 1\.8e308"):
+            self.make(alpha)
+        assert time.perf_counter() - start < 1  # no integer of the exponent's size is built
+
+    @pytest.mark.parametrize(
+        "alpha, exact",
+        [("0e999999999", 0), ("1e308", 10**308), ("2.471e-324", Fraction(2471, 10**327)),
+         (sys.float_info.max, Fraction("1.7976931348623157e308"))],
+        ids=["zero-huge-exponent", "1e308", "rounds-up-to-smallest", "largest-float"],
+    )
+    def test_threshold_inside_float_range_is_kept_exactly(self, alpha, exact):
+        assert self.make(alpha).alpha == exact
 
     def test_float_threshold_means_its_shortest_repr(self):
         # Every word scores exactly 1/10; the binary float 0.1 is a little above that.
@@ -551,6 +576,15 @@ class TestWordGraphValidation:
         with pytest.raises(ValueError) as info:
             WordGraph(vertices=("c", "a", "b"), weights=weights)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("pair", [("a", "b"), ("a", "c"), ("b", "c")])
+    def test_nan_weight_rejected_in_every_pair_position(self, pair):
+        # A NaN compares false with everything, so it could hide from a sign check by minimum.
+        weights = {("a", "b"): Fraction(1, 2), ("a", "c"): Fraction(1, 3), ("b", "c"): Fraction(1)}
+        weights[pair] = float("nan")
+        with pytest.raises(ValueError) as info:
+            WordGraph(vertices=("c", "a", "b"), weights=weights)
+        assert str(info.value) == "edge weights must not be NaN"
 
     def test_non_negative_float_weights_accepted(self):
         graph = WordGraph(vertices=("a", "b", "c"), weights={("a", "b"): 0.5, ("a", "c"): 0.0, ("b", "c"): 2})
