@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .engine import (
@@ -32,6 +33,7 @@ from .jsonio import count_value, dump_json, rational_str
 from .microcluster import (
     MEASURES,
     MicroCluster,
+    TreeCluster,
     WordGraph,
     _threshold,
     build_word_graph,
@@ -55,7 +57,7 @@ _ARTIFACT_NAMES = ("snippets.json", "context.json", "graph.dot", "tree.dot", "sh
 
 
 def _setting(key: str, help: str, default=MISSING, types: tuple[type, ...] = (str,), **options):
-    """A :class:`RunConfig` field: its default, config key and JSON value types, and its flag.
+    """A :class:`Run` field: its default, config key and JSON value types, and its flag.
 
     The flag is ``--key`` with ``-`` for ``_``; ``options`` are its other
     ``add_argument`` keywords, and the help text names the default.
@@ -66,10 +68,13 @@ def _setting(key: str, help: str, default=MISSING, types: tuple[type, ...] = (st
 
 
 @dataclass
-class RunConfig:
-    """One run's settings, each declared once with its CLI default, config key and flag.
+class Run:
+    """One command's settings and term, and its stages, each built the first time it is read.
 
-    ``alpha`` and ``bias_magnitude`` are parsed here.
+    Each setting is declared once with its CLI default, config key and
+    flag; ``alpha`` and ``bias_magnitude`` are parsed here. A command
+    builds only the stages its output reads, each once; a stage calls its
+    builder by its name in this module, where a test or tracer may patch it.
     """
 
     corpus: str = _setting("corpus", "corpus path: a directory of .txt files or a .jsonl file")
@@ -83,6 +88,7 @@ class RunConfig:
     bias_magnitude: float = _setting("bias_magnitude", "perturbation magnitude", 0.0, (int, float), type=float)
     seed: int = _setting("seed", "perturbation seed", 0, (int,), type=int)
     out: str | None = _setting("out", "output file (pipeline: output directory)", None)
+    term: str | None = None  # the command's TERM; ``index`` and ``query`` have none
     bias: BiasConfig = field(init=False)
 
     def __post_init__(self) -> None:
@@ -92,9 +98,42 @@ class RunConfig:
         except (ArithmeticError, ValueError):
             raise ValueError(f"bias_magnitude must be a finite number, got {self.bias_magnitude!r}") from None
         self.bias = BiasConfig(self.bias_mode, self.bias_magnitude, self.seed)
+        # Checked here as well, before the corpus is read, so the message names the config key and flag.
+        if self.term is not None and self.per_doc_limit < 1:
+            raise ValueError(f"limit must be at least 1, got {self.per_doc_limit}")
+
+    @cached_property
+    def index(self) -> Index:
+        return build_index(load_corpus(self.corpus, self.corpus_format))
+
+    @cached_property
+    def snippets(self) -> SnippetList:
+        return extract_snippets(self.index, Term.parse(self.term), self.window, self.per_doc_limit)
+
+    @cached_property
+    def stopword_set(self) -> frozenset[str]:
+        return _load_stopwords(self.stopwords) if self.stopwords else frozenset()
+
+    @cached_property
+    def context(self) -> Context:
+        """Raises ``ValueError`` when there is none: no snippets, or no word left after stopword removal."""
+        return build_context(self.snippets, self.index, self.stopword_set)
+
+    @cached_property
+    def graph(self) -> WordGraph:
+        return build_word_graph(self.context, self.index, self.measure)
+
+    @cached_property
+    def cluster(self) -> MicroCluster:
+        return micro_cluster(self.graph, self.context, self.alpha)
+
+    @cached_property
+    def tree(self) -> TreeCluster | None:
+        """The cluster's tree, or None for an empty cluster."""
+        return None if self.cluster.is_empty else optimal_micro_cluster(self.cluster)
 
 
-_SETTINGS = [f for f in fields(RunConfig) if f.metadata]
+_SETTINGS = [f for f in fields(Run) if f.metadata]
 # config-file key -> (parsed-argument attribute, accepted JSON value types)
 _CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["types"]) for f in _SETTINGS}
 
@@ -119,11 +158,11 @@ def _read_config(path: str) -> dict[str, object]:
     return {_CONFIG_KEYS[key][0]: value for key, value in raw.items() if value is not None}
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values and flags; explicit flags win.
+def resolve_config(args: argparse.Namespace) -> Run:
+    """Merge config-file values and flags (explicit flags win) into the command's run.
 
     Only the settings given are passed on, so every default is
-    :class:`RunConfig`'s. An empty string counts as unset, except for
+    :class:`Run`'s. An empty string counts as unset, except for
     ``alpha``, where it is a malformed number.
     """
     values = _read_config(args.config) if args.config else {}
@@ -136,7 +175,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"config key {f.metadata['key']!r} must be one of {', '.join(choices)}, got {got}")
     if "corpus" not in values:
         raise ValueError("a corpus is required (--corpus or a config file)")
-    return RunConfig(**values)
+    return Run(**values, term=args.term)
 
 
 def _load_stopwords(path: str) -> frozenset[str]:
@@ -170,131 +209,91 @@ def _write(text: str, out: str | Path | None = None) -> None:
         tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
-@dataclass
-class StageResult:
-    """The results of :func:`run_stages`; a stage that did not run is None."""
-
-    index: Index
-    snippets: SnippetList | None = None
-    context: Context | None = None
-    graph: WordGraph | None = None
-    cluster: MicroCluster | None = None
-
-
-def run_stages(cfg: RunConfig, term_text: str | None, last: str, lenient: bool = False) -> StageResult:
-    """Load the index and run snippets, context, graph and cluster.
-
-    ``last`` is the stage to stop after: ``"index"`` (no term needed),
-    ``"snippets"``, ``"context"`` or ``"cluster"`` (a command that prints a
-    tree builds it). A context that cannot be built (no snippets, or no word
-    left after stopword removal) raises ``ValueError``, or with ``lenient`` ends the run.
-    """
-    # Checked here as well, before the corpus is read, so the message names the config key and flag.
-    if last != "index" and cfg.per_doc_limit < 1:
-        raise ValueError(f"limit must be at least 1, got {cfg.per_doc_limit}")
-    result = StageResult(build_index(load_corpus(cfg.corpus, cfg.corpus_format)))
-    if last == "index":
-        return result
-    result.snippets = extract_snippets(result.index, Term.parse(term_text), cfg.window, cfg.per_doc_limit)
-    if last == "snippets":
-        return result
-    stopwords = _load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
-    try:
-        result.context = build_context(result.snippets, result.index, stopwords)
-    except ValueError:
-        if lenient:
-            return result
-        raise
-    if last == "context":
-        return result
-    result.graph = build_word_graph(result.context, result.index, cfg.measure)
-    result.cluster = micro_cluster(result.graph, result.context, cfg.alpha)
-    return result
-
-
 def _shades(mc: MicroCluster, index: Index) -> dict:
     # A tree keeps its cluster's words (``optimal_micro_cluster``), so one shade serves both.
     shade = None if mc.is_empty else shade_to_dict(mirror_shade(mc.words, index))
     return {"cluster": shade, "tree": shade}
 
 
-def _index_payload(result: StageResult, *_) -> dict:
-    index = result.index
+def _index_payload(run: Run, _) -> dict:
+    index = run.index
     return {"documents": index.universe_size, "unique_tokens": len(index.postings),
             "total_tokens": index.total_tokens}
 
 
-def _query_payload(result: StageResult, args: argparse.Namespace, cfg: RunConfig) -> dict:
-    index, terms = result.index, [Term.parse(raw) for raw in args.terms]
+def _query_payload(run: Run, args: argparse.Namespace) -> dict:
+    index, terms = run.index, [Term.parse(raw) for raw in args.terms]
     if len(terms) == 1:
-        return {"term": terms[0].text, "count": count_value(hit_count(singleton(index, terms[0]), cfg.bias))}
+        return {"term": terms[0].text, "count": count_value(hit_count(singleton(index, terms[0]), run.bias))}
     both = doubleton(index, terms[0], terms[1])
     return {
         "terms": [t.text for t in terms],
-        "counts": [count_value(hit_count(singleton(index, t), cfg.bias)) for t in terms],
-        "doubleton": count_value(hit_count(both, cfg.bias)),
+        "counts": [count_value(hit_count(singleton(index, t), run.bias)) for t in terms],
+        "doubleton": count_value(hit_count(both, run.bias)),
     }
 
 
-def _cluster_payload(result: StageResult, *_) -> dict:
-    mc = result.cluster
+def _cluster_payload(run: Run, _) -> dict:
+    mc = run.cluster
     return {
-        "graph": graph_to_dict(result.graph),
+        "graph": graph_to_dict(run.graph),
         "cluster": {"alpha": rational_str(mc.alpha), "words": list(mc.words), "empty": mc.is_empty},
-        "tree": None if mc.is_empty else tree_to_dict(optimal_micro_cluster(mc)),
+        "tree": None if run.tree is None else tree_to_dict(run.tree),
     }
 
 
-def _shade_payload(result: StageResult, *_) -> dict:
-    mc = result.cluster
-    return {"alpha": rational_str(mc.alpha), "empty": mc.is_empty, **_shades(mc, result.index)}
+def _shade_payload(run: Run, _) -> dict:
+    mc = run.cluster
+    return {"alpha": rational_str(mc.alpha), "empty": mc.is_empty, **_shades(mc, run.index)}
 
 
-# command -> (its help, the last stage it runs, its stdout payload from the results, the arguments and the config)
+# command -> (its help, its stdout payload from the run and the arguments)
 _STAGE_COMMANDS = {
-    "index": ("index the corpus and print a summary", "index", _index_payload),
-    "query": ("count documents for one or two terms", "index", _query_payload),
-    "snippets": ("extract word windows around a term", "snippets",
-                 lambda result, *_: snippets_to_dict(result.snippets)),
-    "context": ("build the weighted word set of a term", "context", lambda result, *_: context_to_dict(result.context)),
-    "cluster": ("build the relation graph, threshold cluster, and tree", "cluster", _cluster_payload),
-    "shade": ("export the shade vectors of the cluster and its tree", "cluster", _shade_payload),
+    "index": ("index the corpus and print a summary", _index_payload),
+    "query": ("count documents for one or two terms", _query_payload),
+    "snippets": ("extract word windows around a term", lambda run, _: snippets_to_dict(run.snippets)),
+    "context": ("build the weighted word set of a term", lambda run, _: context_to_dict(run.context)),
+    "cluster": ("build the relation graph, threshold cluster, and tree", _cluster_payload),
+    "shade": ("export the shade vectors of the cluster and its tree", _shade_payload),
 }
 
 
 def cmd_stage(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    run = resolve_config(args)
     if args.command == "query" and len(args.terms) not in (1, 2):
         raise ValueError("query takes one or two terms")
-    _, last, payload = _STAGE_COMMANDS[args.command]
-    _write(dump_json(payload(run_stages(cfg, args.term, last), args, cfg)), cfg.out)
+    _write(dump_json(_STAGE_COMMANDS[args.command][1](run, args)), run.out)
     return 0
 
 
-def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
+def run_pipeline(run: Run) -> tuple[dict, dict[str, str]]:
     """Run every stage and the theorem check and collect the artifacts.
 
     Returns the report and a name-to-text map of the files to write.
     Empty intermediate stages are reported, never fatal.
     """
-    result = run_stages(cfg, term_text, "cluster", lenient=True)
-    snippets, ctx, mc = result.snippets, result.context, result.cluster
-    tree = None if mc is None or mc.is_empty else optimal_micro_cluster(mc)
+    snippets, _ = run.snippets, run.stopword_set  # read first, so an unreadable stopwords file ends the run
+    try:
+        ctx = run.context
+    except ValueError:  # no context to build: reported as empty
+        ctx = mc = tree = None
+    else:
+        mc, tree = run.cluster, run.tree
     artifacts = {"snippets.json": dump_json(snippets_to_dict(snippets))}
     if ctx is not None:
         artifacts["context.json"] = dump_json(context_to_dict(ctx))
-        artifacts["graph.dot"] = graph_to_dot(result.graph)
+        artifacts["graph.dot"] = graph_to_dot(run.graph)
     if tree is not None:
         artifacts["tree.dot"] = tree_to_dot(tree)
-        shades = _shades(mc, result.index)
+        shades = _shades(mc, run.index)
         artifacts["shade.json"] = dump_json(shades)
     report = {
         "term": snippets.term.text,
         "config": {
-            "window": cfg.window,
-            "per_doc_limit": cfg.per_doc_limit,
-            "alpha": rational_str(cfg.alpha),
-            "measure": cfg.measure,
+            "window": run.window,
+            "per_doc_limit": run.per_doc_limit,
+            "alpha": rational_str(run.alpha),
+            "measure": run.measure,
         },
         "stages": {
             "snippets": {"count": snippets.n, "empty": snippets.n == 0},
@@ -307,7 +306,7 @@ def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
             },
             "shade": None if tree is None else {"z": shades["cluster"]["z"]},
         },
-        "theorem_check": None if tree is None else verify_theorem(tree, mc, result.index),
+        "theorem_check": None if tree is None else verify_theorem(tree, mc, run.index),
         "artifacts": sorted(artifacts) + ["report.json"],
     }
     artifacts["report.json"] = dump_json(report)
@@ -315,9 +314,9 @@ def run_pipeline(cfg: RunConfig, term_text: str) -> tuple[dict, dict[str, str]]:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    out_dir = Path(cfg.out or PIPELINE_DEFAULT_DIR)
-    _, artifacts = run_pipeline(cfg, args.term)
+    run = resolve_config(args)
+    out_dir = Path(run.out or PIPELINE_DEFAULT_DIR)
+    _, artifacts = run_pipeline(run)
     # Removed first and written last, so a bundle without it is incomplete.
     (out_dir / "report.json").unlink(missing_ok=True)
     for name in set(_ARTIFACT_NAMES).difference(artifacts):

@@ -116,8 +116,10 @@ class BiasConfig:
     ``round(magnitude * u)`` with ``u`` uniform in [0, 1]; ``multiplicative``
     scales by ``1 + magnitude * u`` with ``u`` uniform in [-1, 1], floored
     at zero. A zero magnitude leaves counts exact in every mode, and the
-    magnitude must be finite. The draw is a pure function of (seed, mode,
-    magnitude, event), so identical inputs always produce identical outputs.
+    magnitude must be finite. The magnitude is held as a ``float`` and the
+    seed as an ``int``, so two configs that compare equal draw alike. The
+    draw is a pure function of (seed, mode, magnitude, event), so identical
+    inputs always produce identical outputs.
     """
 
     mode: str = "none"
@@ -127,6 +129,13 @@ class BiasConfig:
     def __post_init__(self) -> None:
         if self.mode not in BIAS_MODES:
             raise ValueError(f"bias mode must be one of {BIAS_MODES}, got {self.mode!r}")
+        try:
+            object.__setattr__(self, "magnitude", float(self.magnitude))
+        except OverflowError:  # an int or Fraction past float range, whose repr may itself raise
+            raise ValueError("bias magnitude must be finite, got a number beyond float range") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"bias magnitude must be a number, got {self.magnitude!r}") from None
+        object.__setattr__(self, "seed", int(self.seed))
         if not math.isfinite(self.magnitude):
             raise ValueError(f"bias magnitude must be finite, got {self.magnitude!r}")
         if self.magnitude < 0:

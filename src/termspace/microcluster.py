@@ -10,6 +10,7 @@ its maximum, is the cluster's mirror shade.
 
 from __future__ import annotations
 
+import decimal
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -161,17 +162,38 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     return WordGraph(vertices=vertices, weights=weights)
 
 
+def _decimal(text: str) -> Decimal:
+    """``text`` as a ``Decimal``; past ``Decimal``'s exponent limit, a stand-in on the same side of float range.
+
+    ``Decimal`` rejects such an exponent as it rejects malformed text. A
+    context that traps nothing reads it as a signed infinity (overflow) or
+    a signed zero (underflow), flagged, and a zero mantissa as 0.
+    """
+    try:
+        return Decimal(text)
+    except decimal.InvalidOperation:
+        context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
+        value = context.create_decimal(text.strip())
+        flags = context.flags
+        if flags[decimal.InvalidOperation]:
+            raise
+        if flags[decimal.Overflow] or flags[decimal.Underflow]:
+            return Decimal("1e400" if flags[decimal.Overflow] else "1e-400").copy_sign(value)
+        return value
+
+
 def _threshold(alpha: Fraction | int | float | str) -> Fraction:
     """``alpha`` as a ``Fraction`` that reports print as itself: 0, or up to the largest float, never rounded to 0.
 
     An ``int`` or ``Fraction`` is taken as it is, anything else read from its
     ``str`` (the float ``0.1`` is 1/10). A decimal is read as a ``Decimal``,
-    which keeps its exponent, so ``1e999999999`` builds no ``10 ** 999999999``.
+    which keeps its exponent, so ``1e999999999`` builds no ``10 ** 999999999``;
+    an exponent past ``Decimal``'s own limit is judged by its value as well.
     """
     exact = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
     got = "" if exact else f", got {alpha!r}"  # the repr of a huge int or Fraction raises past int's digit limit
     try:
-        value = alpha if exact else Fraction(text) if "/" in (text := str(alpha)) else Decimal(text)
+        value = alpha if exact else Fraction(text) if "/" in (text := str(alpha)) else _decimal(text)
         if isinstance(value, Decimal) and not value.is_finite():
             raise ValueError
     except (ArithmeticError, ValueError):
@@ -187,17 +209,19 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     """Retain the context words whose weight is at least ``alpha``.
 
     The retained words induce a complete subgraph of ``graph``, whose
-    weights are looked up pair by pair among the retained words only. A
+    weights are looked up pair by pair among the retained words only; a
+    retained word that is not a vertex of ``graph`` raises ``ValueError``. A
     threshold above every weight yields an empty cluster rather than an
     error. ``alpha`` is read by the rule ``--alpha`` follows: ``0.1`` is 1/10, and 1e400 is rejected.
     """
     threshold = _threshold(alpha)
     retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
+    missing = sorted(set(retained).difference(graph.vertices))
+    if missing:
+        raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
     sub_vertices = tuple(sorted(retained))
     weights = graph.weights
-    # A pair the graph lacks is left out, so ``WordGraph`` rejects it.
-    sub_weights = {pair: weights[pair] for pair in combinations(sub_vertices, 2) if pair in weights}
-    sub = WordGraph(vertices=sub_vertices, weights=sub_weights)
+    sub = WordGraph(vertices=sub_vertices, weights={pair: weights[pair] for pair in combinations(sub_vertices, 2)})
     return MicroCluster(graph=sub, words=retained, alpha=threshold)
 
 

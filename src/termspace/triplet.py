@@ -101,7 +101,7 @@ class Context:
 
     def __post_init__(self) -> None:
         word_set = set(self.words)
-        if set(self.nu_order) != word_set or set(self.mu_order) != word_set:
+        if any(len(order) != len(word_set) or set(order) != word_set for order in (self.nu_order, self.mu_order)):
             raise ValueError("sort orders must be permutations of the context words")
         nus = [self.words[w].nu for w in self.nu_order]
         mus = [self.words[w].mu for w in self.mu_order]

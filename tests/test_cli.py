@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -464,6 +465,30 @@ class TestAlpha:
         assert err == f"error: alpha must be 0 or within float range, 5e-324 to 1.8e308, got {alpha!r}\n"
         assert not (tmp_path / "out").exists()
 
+    # Exponents past ``Decimal``'s own limit, judged by value like any other alpha.
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1e99999999999999999999999", "0 or within float range, 5e-324 to 1.8e308"),
+         ("-1e99999999999999999999999", "non-negative"),
+         ("1e-99999999999999999999999", "0 or within float range, 5e-324 to 1.8e308")],
+    )
+    @pytest.mark.parametrize("command", ["cluster", "shade", "pipeline"])
+    def test_alpha_past_the_decimal_exponent_limit_is_judged_before_the_corpus_is_read(
+        self, tmp_path, capsys, command, alpha, message
+    ):
+        argv = [command, "--corpus", str(tmp_path / "missing"), f"--alpha={alpha}", "--out", str(tmp_path / "out"), "rock"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: alpha must be {message}, got {alpha!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_past_the_decimal_exponent_limit_is_zero(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        _, zero, _ = run_cli(capsys, ["cluster", "--corpus", str(corpus), "--alpha", "0", "rock"])
+        code, out, err = run_cli(capsys, ["cluster", "--corpus", str(corpus), "--alpha", "0e99999999999999999999999", "rock"])
+        assert (code, out, err) == (0, zero, "")
+
     def test_pipeline_rerun_with_alpha_out_of_float_range_keeps_the_bundle(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         out_dir = tmp_path / "bundle"
@@ -510,6 +535,32 @@ class TestStopwordsFile:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+
+    @pytest.mark.parametrize("stopwords", ["missing", "undecodable"])
+    def test_snippets_never_opens_the_file(self, tmp_path, capsys, stopwords):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        path = tmp_path / "stopwords.txt"
+        if stopwords == "undecodable":
+            path.write_bytes(b"\xff\xfe")
+        _, plain, _ = run_cli(capsys, ["snippets", "--corpus", str(corpus), "rock"])
+        code, out, err = run_cli(capsys, ["snippets", "--corpus", str(corpus), "--stopwords", str(path), "rock"])
+        assert (code, out, err) == (0, plain, "")
+
+    def test_pipeline_reports_a_context_emptied_by_stopwords(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, {"d0": "rock on the rock face", "d1": "quiet rain"})
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("rock on\nthe face\n", encoding="utf-8")
+        out_dir = tmp_path / "bundle"
+        argv = ["pipeline", "--corpus", str(corpus), "--stopwords", str(stopwords), "--out", str(out_dir), "rock"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["stages"]["snippets"] == {"count": 2, "empty": False}
+        assert report["stages"]["context"] == {"words": 0, "empty": True}
+        assert report["stages"]["cluster"] == {"retained": 0, "empty": True}
+        assert report["stages"]["tree"] is None and report["theorem_check"] is None
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.json", "snippets.json"]
 
 
 class TestBiasMagnitude:
@@ -850,6 +901,42 @@ def test_tree_is_built_once_where_it_is_printed(tmp_path, capsys, monkeypatch, c
     assert (code, err) == (0, "")
     assert len(built) == (trees if alpha == "0" else 0)
     assert not any(mc.is_empty for mc in built)
+
+
+# The ``cli`` stage builders in the order a run calls them, and the last one
+# each command calls: a command builds only what its output reads, each stage
+# once, and reads ``--stopwords`` only for a context.
+STAGE_BUILDERS = ("build_index", "extract_snippets", "_load_stopwords", "build_context", "build_word_graph",
+                  "micro_cluster", "optimal_micro_cluster")
+LAST_STAGE_BUILT = {
+    ("index",): "build_index",
+    ("query", "rock"): "build_index",
+    ("query", "rock", "trail"): "build_index",
+    ("snippets", "rock"): "extract_snippets",
+    ("context", "rock"): "build_context",
+    ("cluster", "rock"): "optimal_micro_cluster",
+    ("shade", "rock"): "micro_cluster",
+    ("pipeline", "rock"): "optimal_micro_cluster",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAST_STAGE_BUILT), ids=" ".join)
+def test_each_command_builds_only_the_stages_it_reads(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    for name in STAGE_BUILDERS:
+        def counted(*args, _builder=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _builder(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    corpus = write_corpus(tmp_path, FIXTURE)
+    stopwords = tmp_path / "stopwords.txt"
+    stopwords.write_text("the\n", encoding="utf-8")
+    command, *terms = argv
+    flags = ["--corpus", str(corpus), "--stopwords", str(stopwords), "--out", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, [command, *flags, *terms])
+    assert (code, err) == (0, "")
+    assert calls == list(STAGE_BUILDERS[: STAGE_BUILDERS.index(LAST_STAGE_BUILT[argv]) + 1])
 
 
 # SHA-256 of ``--help`` at 80 columns, recorded while a usage error still

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -545,6 +546,27 @@ class TestHitCount:
             count = hit_count(event, BiasConfig(mode=mode, magnitude=0, seed=seed))
             assert type(count) is int
             assert count == 2
+
+    # Each pair compares equal, so each must draw the same count.
+    @pytest.mark.parametrize(
+        "first, second",
+        [((1, 3), (1.0, 3)), ((0.5, True), (0.5, 1)), ((Fraction(1, 2), 1), (0.5, 1))],
+        ids=["int-magnitude", "bool-seed", "fraction-magnitude"],
+    )
+    @pytest.mark.parametrize("mode", ["additive", "multiplicative"])
+    def test_equal_configs_draw_equal_counts(self, mode, first, second):
+        event = singleton(build_index([(f"d{i}", "a b c" if i % 2 else "a") for i in range(50)]), "a")
+        biases = [BiasConfig(mode, magnitude, seed) for magnitude, seed in (first, second)]
+        assert biases[0] == biases[1]
+        assert hit_count(event, biases[0]) == hit_count(event, biases[1])
+        assert (type(biases[0].magnitude), type(biases[0].seed)) == (float, int)
+
+    @pytest.mark.parametrize(
+        "magnitude", ["abc", None, 10**400, Fraction(10**400)], ids=["text", "none", "huge-int", "huge-fraction"]
+    )
+    def test_magnitude_that_is_not_a_float_rejected_naming_it(self, magnitude):
+        with pytest.raises(ValueError, match="^bias magnitude must be "):
+            BiasConfig("additive", magnitude)
 
     def test_overflowing_multiplicative_count_rejected_by_magnitude(self):
         event = EventSet(frozenset(f"d{i}" for i in range(50)))

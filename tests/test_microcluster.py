@@ -226,6 +226,23 @@ class TestMicroCluster:
     def test_threshold_inside_float_range_is_kept_exactly(self, alpha, exact):
         assert self.make(alpha).alpha == exact
 
+    # Exponents past ``Decimal``'s own limit, which it rejects as it rejects malformed text.
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1e99999999999999999999999", "0 or within float range"), ("-1e99999999999999999999999", "non-negative"),
+         ("1e-99999999999999999999999", "0 or within float range"),
+         ("-1e-99999999999999999999999", "non-negative")],
+    )
+    def test_threshold_past_the_decimal_exponent_limit_is_judged_by_its_value(self, alpha, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^alpha must be {message}"):
+            self.make(alpha)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("alpha", ["0e99999999999999999999999", "-0e99999999999999999999999", "0e-99999999999999999999999"])
+    def test_zero_past_the_decimal_exponent_limit_is_zero(self, alpha):
+        assert self.make(alpha).alpha == 0
+
     def test_float_threshold_means_its_shortest_repr(self):
         # Every word scores exactly 1/10; the binary float 0.1 is a little above that.
         index, ctx = pipeline_context([("D1", "pivot a b c d")], "pivot", window=4)
@@ -599,6 +616,13 @@ class TestWordGraphValidation:
         graph = graph_of({("high", "low"): 1})
         with pytest.raises(ValueError, match="sorted vertex pair"):
             micro_cluster(graph, ctx, 0)
+
+    def test_one_retained_word_missing_from_graph_rejected(self):
+        corpus = [("d1", "rock face rock"), ("d2", "rain on rock"), ("d3", "sun")]
+        index, rock = pipeline_context(corpus, "rock", window=2)
+        _, sun = pipeline_context(corpus, "sun", window=2)
+        with pytest.raises(ValueError, match=r"\['rock'\].*sorted vertex pair"):
+            micro_cluster(build_word_graph(sun, index), rock, Fraction(5, 6))
 
 
 class TestEdgeOrderAndDot:

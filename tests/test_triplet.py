@@ -199,6 +199,8 @@ class TestBuildContext:
         "nu_order, mu_order, message",
         [
             (("a",), ("a", "b"), "permutations"),
+            (("a", "a", "b"), ("b", "a"), "permutations"),
+            (("a", "b"), ("b", "a", "b"), "permutations"),
             (("b", "a"), ("a", "b"), "nu_order must be non-increasing"),
             (("a", "b"), ("a", "b"), "mu_order must be non-increasing"),
         ],
