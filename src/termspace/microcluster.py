@@ -4,18 +4,18 @@ The complete graph on a context's words carries one relation weight per
 pair, computed from the index event spaces. Filtering by a weight
 threshold gives a micro-cluster; keeping only the strongest relations
 until no cycle remains gives the optimal micro-cluster (a maximum-weight
-spanning forest); the vector of per-word document counts, normalized by
-its maximum, is the cluster's mirror shade.
+spanning tree, since the graph is complete); the vector of per-word
+document counts, normalized by its maximum, is the cluster's mirror shade.
 """
 
 from __future__ import annotations
 
-import decimal
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, repeat
+from math import copysign, inf
 from operator import itemgetter, le
 from typing import Iterable, Mapping, Sequence
 
@@ -94,8 +94,10 @@ class MicroCluster:
 class TreeCluster:
     """Acyclic strongest-relation subgraph spanning a micro-cluster.
 
-    One tree per connected component; edges are stored in the order they
-    were kept (weight descending).
+    Edges are stored in the order they were kept (weight descending). One
+    built by :func:`optimal_micro_cluster` is a single tree, since a
+    ``WordGraph`` is complete, so its ``component_count`` is 1; a hand-built
+    one may have more components, and :func:`verify_theorem` then returns False.
     """
 
     vertices: tuple[str, ...]
@@ -162,40 +164,29 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     return WordGraph(vertices=vertices, weights=weights)
 
 
-def _decimal(text: str) -> Decimal:
-    """``text`` as a ``Decimal``; past ``Decimal``'s exponent limit, a stand-in on the same side of float range.
-
-    ``Decimal`` rejects such an exponent as it rejects malformed text. A
-    context that traps nothing reads it as a signed infinity (overflow) or
-    a signed zero (underflow), flagged, and a zero mantissa as 0.
-    """
-    try:
-        return Decimal(text)
-    except decimal.InvalidOperation:
-        context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[])
-        value = context.create_decimal(text.strip())
-        flags = context.flags
-        if flags[decimal.InvalidOperation]:
-            raise
-        if flags[decimal.Overflow] or flags[decimal.Underflow]:
-            return Decimal("1e400" if flags[decimal.Overflow] else "1e-400").copy_sign(value)
-        return value
-
-
 def _threshold(alpha: Fraction | int | float | str) -> Fraction:
     """``alpha`` as a ``Fraction`` that reports print as itself: 0, or up to the largest float, never rounded to 0.
 
     An ``int`` or ``Fraction`` is taken as it is, anything else read from its
-    ``str`` (the float ``0.1`` is 1/10). A decimal is read as a ``Decimal``,
-    which keeps its exponent, so ``1e999999999`` builds no ``10 ** 999999999``;
-    an exponent past ``Decimal``'s own limit is judged by its value as well.
+    ``str`` (the float ``0.1`` is 1/10). ``p/q`` is two integers as ``int``
+    spells them. Any other text must be a decimal as ``float`` spells it, and
+    ``float`` places it in float range at once, so ``1e999999999`` builds no
+    ``10 ** 999999999``; a value inside that range is read exactly by ``Decimal``.
     """
     exact = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
     got = "" if exact else f", got {alpha!r}"  # the repr of a huge int or Fraction raises past int's digit limit
     try:
-        value = alpha if exact else Fraction(text) if "/" in (text := str(alpha)) else _decimal(text)
-        if isinstance(value, Decimal) and not value.is_finite():
+        if exact:
+            value = alpha
+        elif "/" in (text := str(alpha)):
+            p, q = text.split("/")
+            value = Fraction(int(p), int(q))
+        elif not any(map(str.isdecimal, text)):  # NaN, or an infinity spelled by name
             raise ValueError
+        elif (number := float(text)) and abs(number) != inf:
+            value = Fraction(Decimal(text))  # compared with floats below, which would flag the caller's decimal context
+        else:  # 0 if every digit before the exponent is 0; else past float range, and its sign is all that counts
+            value = copysign(inf, number) if number or Decimal(text.lower().partition("e")[0]) else 0
     except (ArithmeticError, ValueError):
         raise ValueError(f"alpha must be a finite number{got}") from None
     if value < 0:
@@ -248,8 +239,8 @@ def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
 
     Edges are considered in descending weight, ties broken
     lexicographically on the sorted endpoint pair; an edge survives only
-    when it joins two different components. The result spans every vertex
-    and is a maximum-weight spanning forest.
+    when it joins two different components. The graph is complete, so the
+    result is one maximum-weight spanning tree on every vertex.
     """
     if mc.is_empty:
         raise ValueError("optimal_micro_cluster needs at least one vertex")

@@ -489,6 +489,36 @@ class TestAlpha:
         code, out, err = run_cli(capsys, ["cluster", "--corpus", str(corpus), "--alpha", "0e99999999999999999999999", "rock"])
         assert (code, out, err) == (0, zero, "")
 
+    # One grammar on every Python: a decimal as ``float`` spells it, ``p/q`` as two ``int``s.
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1_0e99999999999999999999999", "0 or within float range, 5e-324 to 1.8e308"),
+         ("-1_0e99999999999999999999999", "non-negative"),
+         ("1/-3", "non-negative")]
+        + [(alpha, "a finite number") for alpha in ("1__0", "_1", "1_", "1_.5", "INF", "-Infinity", "+nan")],
+    )
+    def test_alpha_grammar_error_comes_before_the_corpus_is_read(self, tmp_path, capsys, alpha, message):
+        argv = ["cluster", "--corpus", str(tmp_path / "missing"), f"--alpha={alpha}", "rock"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (1, "", f"error: alpha must be {message}, got {alpha!r}\n")
+
+    @pytest.mark.parametrize(
+        "alpha, same_as",
+        [("0_0e99999999999999999999999", "0"), ("1 / 4", "1/4"), ("1_0/3", "10/3"), ("-1/-3", "1/3"),
+         ("1_000.5", "2001/2"), ("1" * 4400 + "e-4400", "0." + "1" * 4400)],
+        ids=["zero-underscored-huge-exponent", "spaced-fraction", "underscored-fraction", "two-signs",
+             "underscored-decimal", "4400-digit-mantissa"],
+    )
+    def test_alpha_grammar_reads_the_same_threshold(self, tmp_path, capsys, alpha, same_as):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        _, expected, _ = run_cli(capsys, ["cluster", "--corpus", str(corpus), "--alpha", same_as, "rock"])
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["cluster", "--corpus", str(corpus), f"--alpha={alpha}", "rock"])
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, expected, "")
+
     def test_pipeline_rerun_with_alpha_out_of_float_range_keeps_the_bundle(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         out_dir = tmp_path / "bundle"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import decimal
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -242,6 +244,39 @@ class TestMicroCluster:
     @pytest.mark.parametrize("alpha", ["0e99999999999999999999999", "-0e99999999999999999999999", "0e-99999999999999999999999"])
     def test_zero_past_the_decimal_exponent_limit_is_zero(self, alpha):
         assert self.make(alpha).alpha == 0
+
+    # One grammar reads every alpha string: a decimal as ``float`` spells it, ``p/q`` as two ``int``s.
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("1_0e99999999999999999999999", "0 or within float range, 5e-324 to 1.8e308"),
+         ("-1_0e99999999999999999999999", "non-negative"),
+         ("1/-3", "non-negative")]
+        + [(alpha, "a finite number") for alpha in ("1__0", "_1", "1_", "1_.5", "INF", "-Infinity", "+nan")],
+    )
+    def test_threshold_grammar_rejects(self, alpha, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^" + re.escape(f"alpha must be {message}, got {alpha!r}") + "$"):
+            self.make(alpha)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "alpha, exact",
+        [("0_0e99999999999999999999999", 0), ("1 / 4", Fraction(1, 4)), ("1_0/3", Fraction(10, 3)),
+         ("-1/-3", Fraction(1, 3)), ("1_000.5", Fraction(2001, 2)),
+         ("1" * 4400 + "e-4400", Fraction((10**4400 - 1) // 9, 10**4400))],
+        ids=["zero-underscored-huge-exponent", "spaced-fraction", "underscored-fraction", "two-signs",
+             "underscored-decimal", "4400-digit-mantissa"],
+    )
+    def test_threshold_grammar_reads_exactly(self, alpha, exact):
+        start = time.perf_counter()
+        assert self.make(alpha).alpha == exact
+        assert time.perf_counter() - start < 1
+
+    def test_threshold_leaves_the_callers_decimal_context_alone(self):
+        with decimal.localcontext() as context:
+            context.traps[decimal.FloatOperation] = True
+            assert self.make("0.5").alpha == Fraction(1, 2)
+            assert not any(context.flags.values())
 
     def test_float_threshold_means_its_shortest_repr(self):
         # Every word scores exactly 1/10; the binary float 0.1 is a little above that.
