@@ -11,13 +11,13 @@ document counts, normalized by its maximum, is the cluster's mirror shade.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, islice, repeat
 from math import copysign, inf
-from operator import itemgetter, le
-from typing import Iterable, Mapping, Sequence
+from operator import add, itemgetter, le
 
 from .engine import Index, Term
 from .jsonio import rational_str
@@ -28,15 +28,59 @@ MEASURES = ("doubleton_count", "jaccard")
 Edge = tuple[str, str, Fraction]
 
 
+class _Values(list):
+    """A hand-built graph's weights in pair order: a pair's code is its offset."""
+
+    def floats(self, codes: Iterable[int]) -> Iterable[float]:
+        return map(float, map(self.__getitem__, codes))
+
+
+class _Ratios(dict):
+    """A built graph's weights by code ``inter * base + union``; a code's ``Fraction`` is made when first read."""
+
+    def __init__(self, base: int) -> None:  # the dict starts empty: ``dict.__init__`` would only add items
+        self.base = base
+
+    def __missing__(self, code: int) -> Fraction:  # code 0 is the empty union, whose weight is 0
+        return self.setdefault(code, Fraction(*divmod(code, self.base)) if code else Fraction(0))
+
+    def floats(self, codes: Iterable[int]) -> list[float]:  # correctly rounded, so ``float`` of each ``Fraction``
+        return [inter / union if union else 0.0 for inter, union in map(divmod, codes, repeat(self.base))]
+
+
+class _PairWeights(Mapping):
+    """Read-only weights keyed by sorted vertex 2-tuple: ``table[code]``, one code per pair in pair order."""
+
+    def __init__(self, vertices: tuple[str, ...], codes: Sequence[int], table: _Values | _Ratios) -> None:
+        self.vertices, self.codes, self.table = vertices, codes, table
+        self.ordinal = {v: i for i, v in enumerate(vertices)}
+
+    def code(self, pair: tuple[str, str]) -> int:
+        i, j = map(self.ordinal.get, pair) if isinstance(pair, tuple) and len(pair) == 2 else (None, None)
+        if i is None or j is None or i >= j:
+            raise KeyError(pair)
+        return self.codes[i * (2 * len(self.vertices) - i - 1) // 2 + j - i - 1]  # the pair of ordinals i < j
+
+    def __getitem__(self, pair: tuple[str, str]) -> Fraction:
+        return self.table[self.code(pair)]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return combinations(self.vertices, 2)
+
+
 @dataclass(frozen=True)
 class WordGraph:
     """Undirected complete graph on a word set with rational edge weights.
 
     Vertices are the words themselves (the word-to-vertex bijection is the
-    identity). ``weights`` is keyed by the sorted word pair.
+    identity). ``weights`` is a read-only mapping keyed by the sorted word
+    pair; equal weights of a built graph share one object.
 
-    Validation makes no set of pairs: mapping keys are unique, so a
-    mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
+    Validation of a mapping makes no set of pairs: mapping keys are unique,
+    so a mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
     holds nothing else. The sign of a rational weight is read from its
     numerator, which avoids one ``Fraction`` comparison per edge.
     """
@@ -49,16 +93,18 @@ class WordGraph:
         object.__setattr__(self, "vertices", vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("graph vertices must be unique")
-        n = len(vertices)
-        if len(self.weights) != n * (n - 1) // 2 or not all(
-            map(self.weights.__contains__, combinations(vertices, 2))
-        ):
+        n, weights = len(vertices), self.weights
+        built = isinstance(weights, _PairWeights) and weights.vertices == vertices
+        if len(weights) != n * (n - 1) // 2 or not (built or all(map(weights.__contains__, combinations(vertices, 2)))):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
+        # A built graph's codes are ints with its weights' signs, read without making a ``Fraction``.
+        values = weights.codes if built else _Values(map(weights.__getitem__, combinations(vertices, 2)))
         # A weight without a numerator (a float) stands for its own sign; a NaN fails ``0 <=`` as a negative does.
-        values = self.weights.values()
         if not all(map(le, repeat(0), map(getattr, values, repeat("numerator"), values))):
             nan = any(w != w for w in values)
             raise ValueError("edge weights must not be NaN" if nan else "edge weights must be non-negative")
+        if not built:
+            object.__setattr__(self, "weights", _PairWeights(vertices, range(len(values)), values))
 
     def weight(self, a: str, b: str) -> Fraction:
         return self.weights[(a, b) if a < b else (b, a)]
@@ -69,8 +115,7 @@ class WordGraph:
         The pairs of the sorted vertex tuple come in sorted order, so
         nothing is sorted.
         """
-        weights = self.weights
-        return [(a, b, weights[a, b]) for a, b in combinations(self.vertices, 2)]
+        return [(a, b, w) for (a, b), w in zip(self.weights, map(self.weights.table.__getitem__, self.weights.codes))]
 
 
 @dataclass(frozen=True)
@@ -135,33 +180,27 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     ``int`` with bit ``i`` set for the index's ``i``-th document, so a
     pair costs one ``&`` and one ``bit_count`` of ``documents / 64``
     machine words, and the union size follows from the two set sizes.
-    Weights are shared between pairs with the same ``(intersection,
-    union)`` sizes, so at most one ``Fraction`` is made per distinct pair
-    of sizes (``Fraction`` is immutable).
+    A pair is held as the code ``intersection * (documents + 1) + union``,
+    so pairs with equal codes share one ``Fraction`` (it is immutable).
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if not ctx.words:
         raise ValueError("cannot build a graph from an empty context")
     vertices = tuple(sorted(ctx.words))
+    documents = len(index.documents)
     bit = {doc_id: 1 << i for i, doc_id in enumerate(index.documents)}
     # Distinct powers of two, so their sum is their union.
     bitsets = [sum(map(bit.__getitem__, index.postings.get(w, ()))) for w in vertices]
     sizes = [b.bit_count() for b in bitsets]
-    jaccard = measure == "jaccard"
-    memo: dict[tuple[int, int], Fraction] = {}
-    weights: dict[tuple[str, str], Fraction] = {}
-    for i, a in enumerate(vertices):
-        bits_a, size_a = bitsets[i], sizes[i]
-        for j in range(i + 1, len(vertices)):
-            inter = (bits_a & bitsets[j]).bit_count()
-            # A doubleton count is the intersection size over 1.
-            union = size_a + sizes[j] - inter if jaccard else 1
-            weight = memo.get((inter, union))
-            if weight is None:
-                weight = memo[(inter, union)] = Fraction(inter, union) if union else Fraction(0)
-            weights[(a, vertices[j])] = weight
-    return WordGraph(vertices=vertices, weights=weights)
+    codes: list[int] = []
+    for i, bits in enumerate(bitsets):
+        inters = map(int.bit_count, map(bits.__and__, bitsets[i + 1 :]))
+        if measure == "jaccard":  # inter * (documents + 1) + size_a + size_b - inter
+            codes += map(add, map(documents.__mul__, inters), map(sizes[i].__add__, sizes[i + 1 :]))
+        else:  # a doubleton count is the intersection size over 1
+            codes += map(add, map((documents + 1).__mul__, inters), repeat(1))
+    return WordGraph(vertices=vertices, weights=_PairWeights(vertices, codes, _Ratios(documents + 1)))
 
 
 def _threshold(alpha: Fraction | int | float | str) -> Fraction:
@@ -169,16 +208,21 @@ def _threshold(alpha: Fraction | int | float | str) -> Fraction:
 
     An ``int`` or ``Fraction`` is taken as it is, anything else read from its
     ``str`` (the float ``0.1`` is 1/10). ``p/q`` is two integers as ``int``
-    spells them. Any other text must be a decimal as ``float`` spells it, and
-    ``float`` places it in float range at once, so ``1e999999999`` builds no
-    ``10 ** 999999999``; a value inside that range is read exactly by ``Decimal``.
+    spells them, each within ``int``'s digit limit. Any other text must be a
+    decimal as ``float`` spells it, and ``float`` places it in float range at
+    once, so ``1e999999999`` builds no ``10 ** 999999999``; a value inside
+    that range is read exactly by ``Decimal``.
     """
     exact = isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool)
     got = "" if exact else f", got {alpha!r}"  # the repr of a huge int or Fraction raises past int's digit limit
+    text = "" if exact else str(alpha)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where int has no digit limit
+    if "/" in text and 0 < limit < max(sum(map(str.isdecimal, side)) for side in text.split("/")):
+        raise ValueError(f"alpha must be p/q with at most {limit} digits on each side, int's digit limit")
     try:
         if exact:
             value = alpha
-        elif "/" in (text := str(alpha)):
+        elif "/" in text:
             p, q = text.split("/")
             value = Fraction(int(p), int(q))
         elif not any(map(str.isdecimal, text)):  # NaN, or an infinity spelled by name
@@ -199,8 +243,8 @@ def _threshold(alpha: Fraction | int | float | str) -> Fraction:
 def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float | str) -> MicroCluster:
     """Retain the context words whose weight is at least ``alpha``.
 
-    The retained words induce a complete subgraph of ``graph``, whose
-    weights are looked up pair by pair among the retained words only; a
+    The retained words induce a complete subgraph of ``graph`` that shares
+    its weight table, or ``graph`` itself when every word is retained; a
     retained word that is not a vertex of ``graph`` raises ``ValueError``. A
     threshold above every weight yields an empty cluster rather than an
     error. ``alpha`` is read by the rule ``--alpha`` follows: ``0.1`` is 1/10, and 1e400 is rejected.
@@ -210,10 +254,11 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     missing = sorted(set(retained).difference(graph.vertices))
     if missing:
         raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
-    sub_vertices = tuple(sorted(retained))
-    weights = graph.weights
-    sub = WordGraph(vertices=sub_vertices, weights={pair: weights[pair] for pair in combinations(sub_vertices, 2)})
-    return MicroCluster(graph=sub, words=retained, alpha=threshold)
+    sub_vertices, weights = tuple(sorted(retained)), graph.weights
+    if sub_vertices != graph.vertices:  # with every word retained, the cluster's graph is ``graph``
+        codes = list(map(weights.code, combinations(sub_vertices, 2)))
+        graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, codes, weights.table))
+    return MicroCluster(graph=graph, words=retained, alpha=threshold)
 
 
 def _forest(vertices: Iterable[str], edges: Iterable[Edge]) -> list[Edge]:
@@ -302,38 +347,33 @@ def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
     return all(e.raw == full_raw[e.word] for e in mirror_shade(tree.words, index).entries)
 
 
-def _dot(vertices: Sequence[str], edges: Sequence[Edge]) -> str:
-    # ``edges`` come in lexicographic order. Many edges share one weight
-    # object, so each object's label is formatted once; keying the cache by
-    # ``id`` is safe because ``edges`` keeps every weight alive.
-    labels: dict[int, str] = {}
-    lines = ["graph {"]
-    lines += [f'  "{v}";' for v in vertices]
-    for a, b, w in edges:
-        label = labels.get(id(w))
-        if label is None:
-            label = labels[id(w)] = f"{float(w):.6f}"
-        lines.append(f'  "{a}" -- "{b}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def graph_to_dot(graph: WordGraph) -> str:
     """DOT text with edge weights as labels, 6 decimal places.
 
     Edges are listed in the lexicographic pair order of
-    :meth:`WordGraph.edges`, and each distinct weight object's label is
-    formatted once per call.
+    :meth:`WordGraph.edges`. A label is formatted once per distinct weight
+    code, from its float, so no ``Fraction`` is made.
     """
-    return _dot(graph.vertices, graph.edges())
+    vertices, codes, table = graph.vertices, graph.weights.codes, graph.weights.table
+    distinct = list(set(codes))
+    labels = dict(zip(distinct, [f'{x:.6f}"];\n' for x in table.floats(distinct)]))
+    tails = [f'"{v}" [label="' for v in vertices]
+    parts = ["graph {\n", *(f'  "{v}";\n' for v in vertices)]
+    in_order = map(labels.__getitem__, codes)
+    for i, a in enumerate(vertices[:-1]):  # row i holds the pairs (a, b) for the n - 1 - i words b after a
+        head = f'  "{a}" -- '
+        parts.append(head + head.join(map(str.__add__, tails[i + 1 :], islice(in_order, len(tails) - 1 - i))))
+    return "".join(parts) + "}\n"
 
 
 def tree_to_dot(tree: TreeCluster) -> str:
-    return _dot(tree.vertices, sorted(tree.edges, key=itemgetter(0, 1)))
+    lines = ["graph {", *(f'  "{v}";' for v in tree.vertices)]
+    lines += [f'  "{a}" -- "{b}" [label="{float(w):.6f}"];' for a, b, w in sorted(tree.edges, key=itemgetter(0, 1))]
+    return "\n".join(lines) + "\n}\n"
 
 
 def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:
-    # ``edges`` come in lexicographic order, as for ``_dot``.
+    # ``edges`` come in lexicographic order.
     return {
         "vertices": list(vertices),
         "edges": [{"a": a, "b": b, "weight": rational_str(w)} for a, b, w in edges],

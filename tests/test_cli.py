@@ -504,6 +504,15 @@ class TestAlpha:
         assert time.perf_counter() - start < 1
         assert (code, out, err) == (1, "", f"error: alpha must be {message}, got {alpha!r}\n")
 
+    def test_alpha_p_over_q_past_ints_digit_limit_is_named_before_the_corpus_is_read(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        alpha = "1" + "0" * limit + "/1" + "0" * limit
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["cluster", "--corpus", str(tmp_path / "missing"), f"--alpha={alpha}", "rock"])
+        assert time.perf_counter() - start < 1
+        message = f"error: alpha must be p/q with at most {limit} digits on each side, int's digit limit\n"
+        assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize(
         "alpha, same_as",
         [("0_0e99999999999999999999999", "0"), ("1 / 4", "1/4"), ("1_0/3", "10/3"), ("-1/-3", "1/3"),

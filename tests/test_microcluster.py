@@ -31,6 +31,8 @@ from termspace import (
     verify_theorem,
 )
 
+from termspace.microcluster import _PairWeights, _Ratios
+
 from conftest import random_corpus, random_present_term
 from oracles import (
     brute_jaccard,
@@ -270,6 +272,17 @@ class TestMicroCluster:
     def test_threshold_grammar_reads_exactly(self, alpha, exact):
         start = time.perf_counter()
         assert self.make(alpha).alpha == exact
+        assert time.perf_counter() - start < 1
+
+    def test_threshold_p_over_q_past_ints_digit_limit_is_named(self):
+        # 1 over itself, one digit past the limit on each side; as a decimal, or at the limit, it reads as 1.
+        start = time.perf_counter()
+        limit = sys.get_int_max_str_digits()
+        message = f"alpha must be p/q with at most {limit} digits on each side, int's digit limit"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            self.make("1" + "0" * limit + "/1" + "0" * limit)
+        assert self.make("1" + "0" * limit + f"e-{limit}").alpha == 1
+        assert self.make("1" + "0" * (limit - 1) + "/1" + "0" * (limit - 1)).alpha == 1
         assert time.perf_counter() - start < 1
 
     def test_threshold_leaves_the_callers_decimal_context_alone(self):
@@ -706,3 +719,98 @@ class TestTreeOrderMatchesReference:
         for ctx, graph in built_graphs(101, 25):
             mc = micro_cluster(graph, ctx, 0)
             assert list(optimal_micro_cluster(mc).edges) == kruskal_edges(mc.graph.vertices, mc.graph.weights)
+
+
+class TestLabelsFromCodes:
+    def test_label_of_every_code_up_to_400_documents_equals_its_fraction_label(self):
+        # A code is inter * (documents + 1) + union; code 0 is the empty union, and a
+        # doubleton count is its intersection over a union of 1.
+        base = 401
+        pairs = [(inter, union) for union in range(1, base) for inter in range(union + 1)]
+        pairs += [(inter, 1) for inter in range(2, base)]
+        floats = _Ratios(base).floats([inter * base + union for inter, union in pairs] + [0])
+        assert f"{floats.pop():.6f}" == "0.000000"
+        for (inter, union), x in zip(pairs, floats, strict=True):
+            assert f"{x:.6f}" == f"{float(Fraction(inter, union)):.6f}"
+
+    @pytest.mark.parametrize("measure", ["jaccard", "doubleton_count"])
+    def test_graphs_over_301_documents_render_as_reference_dot(self, measure):
+        # "all" and "every" are in every document, so their code is the largest a row can hold,
+        # and "even" and "odd" split the documents: a union of every document over no intersection.
+        rng = random.Random(307)
+        documents = 301
+        corpus = []
+        for i in range(documents):
+            words = ["all", "every", "even" if i % 2 == 0 else "odd"]
+            words += [f"w{k}" for k in range(12) if rng.random() < (k + 1) / 13]
+            corpus.append((f"d{i:03d}", " ".join(words)))
+        index = build_index(corpus)
+        ctx = context_of({w: (Fraction(1, 2), 1) for w in ["all", "every", "even", "odd", *(f"w{k}" for k in range(12))]})
+        graph = build_word_graph(ctx, index, measure)
+        top = documents * (documents + 1) + (documents if measure == "jaccard" else 1)
+        assert max(graph.weights.codes) == top
+        assert graph.weight("all", "every") == (1 if measure == "jaccard" else documents)
+        assert graph.weight("even", "odd") == 0
+        assert graph_to_dot(graph) == dot_text(graph.vertices, graph.edges())
+        mc = micro_cluster(graph, ctx, 0)
+        assert graph_to_dot(mc.graph) == dot_text(mc.graph.vertices, mc.graph.edges())
+
+
+class TestWeightsView:
+    def graphs(self):
+        index, ctx = pipeline_context([("D1", "a b c"), ("D2", "a c"), ("D3", "b")], "a", window=2)
+        built = build_word_graph(ctx, index)
+        hand = WordGraph(vertices=("c", "a", "b"), weights={("a", "b"): 1, ("a", "c"): Fraction(1, 2), ("b", "c"): 0.5})
+        assert built.vertices == hand.vertices == ("a", "b", "c")
+        return built, hand
+
+    @pytest.mark.parametrize("key", ["ab", ("b", "a"), ("a", "zz"), ("zz", "a"), ("a", "a"), ("a", "b", "c"), ("a",), 0])
+    def test_only_a_sorted_pair_of_vertices_is_a_key(self, key):
+        for graph in self.graphs():
+            assert key not in graph.weights
+            assert graph.weights.get(key) is None
+            with pytest.raises(KeyError):
+                graph.weights[key]
+
+    def test_len_and_iteration_follow_combinations(self):
+        for graph in self.graphs() + tuple(g for _, g in built_graphs(113, 10)):
+            pairs = list(combinations(graph.vertices, 2))
+            assert list(graph.weights) == list(graph.weights.keys()) == pairs
+            assert len(graph.weights) == len(pairs)
+            assert [w for _, _, w in graph.edges()] == list(graph.weights.values()) == [graph.weights[p] for p in pairs]
+
+    def test_mapping_equality_and_dict(self):
+        built, hand = self.graphs()
+        assert dict(hand.weights) == {("a", "b"): 1, ("a", "c"): Fraction(1, 2), ("b", "c"): 0.5}
+        assert hand.weights == dict(hand.weights) and built.weights == dict(built.weights)
+        assert built == WordGraph(vertices=built.vertices, weights=dict(built.weights))
+        assert built.weights != hand.weights
+        with pytest.raises(TypeError):
+            hand.weights[("a", "b")] = 2
+
+    def test_one_vertex_graph_has_no_pairs_and_renders_its_vertex(self):
+        index, ctx = pipeline_context([("D1", "solo")], "solo")
+        for graph in (build_word_graph(ctx, index), WordGraph(vertices=("solo",), weights={})):
+            assert len(graph.weights) == 0 and list(graph.weights) == [] and graph.edges() == []
+            assert graph_to_dot(graph) == 'graph {\n  "solo";\n}\n' == dot_text(("solo",), [])
+
+    def test_a_built_graph_and_its_clusters_hand_back_one_object_per_pair(self):
+        for k, (ctx, graph) in enumerate(built_graphs(127, 20)):
+            nus = sorted({stat.nu for stat in ctx.words.values()})
+            mc = micro_cluster(graph, ctx, nus[len(nus) // 2])
+            pairs = list(mc.graph.weights)
+            # Read the cluster first on half the graphs, the parent first on the rest.
+            first, second = (mc.graph, graph) if k % 2 else (graph, mc.graph)
+            assert [first.weights[p] for p in pairs] == [second.weights[p] for p in pairs]
+            assert all(first.weights[p] is second.weights[p] for p in pairs)
+            full = micro_cluster(graph, ctx, 0)
+            assert full.graph == graph and all(full.graph.weights[p] is graph.weights[p] for p in graph.weights)
+
+    @pytest.mark.parametrize(
+        "codes, message",
+        [([0, -1, 2], "edge weights must be non-negative"), ([0, 1], "graph must carry exactly one weight per sorted vertex pair")],
+    )
+    def test_codes_are_checked_by_count_and_sign(self, codes, message):
+        vertices = ("a", "b", "c")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WordGraph(vertices=vertices, weights=_PairWeights(vertices, codes, _Ratios(4)))
