@@ -266,10 +266,10 @@ def cmd_stage(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_pipeline(run: Run) -> tuple[dict, dict[str, str]]:
+def run_pipeline(run: Run) -> dict[str, str]:
     """Run every stage and the theorem check and collect the artifacts.
 
-    Returns the report and a name-to-text map of the files to write.
+    Returns a name-to-text map of the files to write, ``report.json`` among them.
     Empty intermediate stages are reported, never fatal.
     """
     snippets, _ = run.snippets, run.stopword_set  # read first, so an unreadable stopwords file ends the run
@@ -287,7 +287,7 @@ def run_pipeline(run: Run) -> tuple[dict, dict[str, str]]:
         artifacts["tree.dot"] = tree_to_dot(tree)
         shades = _shades(mc, run.index)
         artifacts["shade.json"] = dump_json(shades)
-    report = {
+    artifacts["report.json"] = dump_json({
         "term": snippets.term.text,
         "config": {
             "window": run.window,
@@ -308,15 +308,14 @@ def run_pipeline(run: Run) -> tuple[dict, dict[str, str]]:
         },
         "theorem_check": None if tree is None else verify_theorem(tree, mc, run.index),
         "artifacts": sorted(artifacts) + ["report.json"],
-    }
-    artifacts["report.json"] = dump_json(report)
-    return report, artifacts
+    })
+    return artifacts
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     run = resolve_config(args)
     out_dir = Path(run.out or PIPELINE_DEFAULT_DIR)
-    _, artifacts = run_pipeline(run)
+    artifacts = run_pipeline(run)
     # Removed first and written last, so a bundle without it is incomplete.
     (out_dir / "report.json").unlink(missing_ok=True)
     for name in set(_ARTIFACT_NAMES).difference(artifacts):

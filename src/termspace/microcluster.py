@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, islice, repeat
-from math import copysign, inf
-from operator import add, itemgetter, le
+from math import copysign, inf, nan
+from operator import add, itemgetter
 
 from .engine import Index, Term
 from .jsonio import rational_str
@@ -26,17 +26,11 @@ from .triplet import Context
 MEASURES = ("doubleton_count", "jaccard")
 
 Edge = tuple[str, str, Fraction]
-
-
-class _Values(list):
-    """A hand-built graph's weights in pair order: a pair's code is its offset."""
-
-    def floats(self, codes: Iterable[int]) -> Iterable[float]:
-        return map(float, map(self.__getitem__, codes))
+_OUT_OF_RANGE = "edge weights must be 0 or within float range, 5e-324 to 1.8e308"
 
 
 class _Ratios(dict):
-    """A built graph's weights by code ``inter * base + union``; a code's ``Fraction`` is made when first read."""
+    """Weights by code ``p * base + q``, ``base`` past every ``q``; a code's ``Fraction`` is made when first read."""
 
     def __init__(self, base: int) -> None:  # the dict starts empty: ``dict.__init__`` would only add items
         self.base = base
@@ -45,13 +39,13 @@ class _Ratios(dict):
         return self.setdefault(code, Fraction(*divmod(code, self.base)) if code else Fraction(0))
 
     def floats(self, codes: Iterable[int]) -> list[float]:  # correctly rounded, so ``float`` of each ``Fraction``
-        return [inter / union if union else 0.0 for inter, union in map(divmod, codes, repeat(self.base))]
+        return [p / q if q else 0.0 for p, q in map(divmod, codes, repeat(self.base))]
 
 
 class _PairWeights(Mapping):
     """Read-only weights keyed by sorted vertex 2-tuple: ``table[code]``, one code per pair in pair order."""
 
-    def __init__(self, vertices: tuple[str, ...], codes: Sequence[int], table: _Values | _Ratios) -> None:
+    def __init__(self, vertices: tuple[str, ...], codes: Sequence[int], table: _Ratios) -> None:
         self.vertices, self.codes, self.table = vertices, codes, table
         self.ordinal = {v: i for i, v in enumerate(vertices)}
 
@@ -71,18 +65,31 @@ class _PairWeights(Mapping):
         return combinations(self.vertices, 2)
 
 
+def _ratio(weight: object) -> tuple[int, int]:  # a hand-built weight as ``p/q`` in lowest terms
+    try:  # its float, which reports print, first: a ``Decimal`` such as 1e-999999999 is gigabytes as a ratio
+        ratio, x = weight.as_integer_ratio, float(weight)
+    except AttributeError:
+        raise ValueError(f"edge weights must be numbers, got {type(weight).__name__}") from None
+    except (OverflowError, ValueError) as exc:  # an int or Fraction past the largest float, or a signalling NaN
+        x = inf if isinstance(exc, OverflowError) else nan
+    if not (abs(x) < inf and (x or not weight)):  # NaN fails ``<``, and a report would print a tiny weight as 0
+        raise ValueError("edge weights must not be NaN" if x != x else _OUT_OF_RANGE)
+    return ratio()
+
+
 @dataclass(frozen=True)
 class WordGraph:
     """Undirected complete graph on a word set with rational edge weights.
 
     Vertices are the words themselves (the word-to-vertex bijection is the
     identity). ``weights`` is a read-only mapping keyed by the sorted word
-    pair; equal weights of a built graph share one object.
+    pair; its values are ``Fraction``s, and equal weights share one object.
 
     Validation of a mapping makes no set of pairs: mapping keys are unique,
     so a mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
-    holds nothing else. The sign of a rational weight is read from its
-    numerator, which avoids one ``Fraction`` comparison per edge.
+    holds nothing else. Its weights become codes over one table, as a built
+    graph's are, so one sign check over ints serves every graph; NaN, a
+    non-number, and a weight outside float range other than 0 are rejected.
     """
 
     vertices: tuple[str, ...]
@@ -97,14 +104,12 @@ class WordGraph:
         built = isinstance(weights, _PairWeights) and weights.vertices == vertices
         if len(weights) != n * (n - 1) // 2 or not (built or all(map(weights.__contains__, combinations(vertices, 2)))):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
-        # A built graph's codes are ints with its weights' signs, read without making a ``Fraction``.
-        values = weights.codes if built else _Values(map(weights.__getitem__, combinations(vertices, 2)))
-        # A weight without a numerator (a float) stands for its own sign; a NaN fails ``0 <=`` as a negative does.
-        if not all(map(le, repeat(0), map(getattr, values, repeat("numerator"), values))):
-            nan = any(w != w for w in values)
-            raise ValueError("edge weights must not be NaN" if nan else "edge weights must be non-negative")
         if not built:
-            object.__setattr__(self, "weights", _PairWeights(vertices, range(len(values)), values))
+            ratios = list(map(_ratio, map(weights.__getitem__, combinations(vertices, 2))))
+            table = _Ratios(1 + max((q for _, q in ratios), default=1))
+            object.__setattr__(self, "weights", _PairWeights(vertices, [p * table.base + q for p, q in ratios], table))
+        if min(self.weights.codes, default=0) < 0:  # a code has its weight's sign
+            raise ValueError("edge weights must be non-negative")
 
     def weight(self, a: str, b: str) -> Fraction:
         return self.weights[(a, b) if a < b else (b, a)]
@@ -332,8 +337,7 @@ def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
     from a cluster of a subset of its words. A tree word missing from the
     cluster, or a duplicated one, raises ``ValueError``.
     """
-    if not set(tree.words) <= set(full.words):
-        missing = sorted(set(tree.words) - set(full.words))
+    if missing := sorted(set(tree.words).difference(full.words)):
         raise ValueError(f"tree words not in the cluster: {missing}")
     vertices = set(tree.vertices)
     if (

@@ -7,8 +7,10 @@ import random
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 import pytest
 
@@ -616,10 +618,14 @@ TIE_VALUES = (
     lambda: 0,
 )
 
+# Other numbers a hand-built weight may be: each is read exactly, and 5e-324 renders as 0.
+DOT_VALUES = TIE_VALUES + (lambda: Decimal("0.1"), lambda: True, lambda: 5e-324)
+
 
 class TestWordGraphValidation:
     PAIR = "graph must carry exactly one weight per sorted vertex pair"
     SIGN = "edge weights must be non-negative"
+    RANGE = "edge weights must be 0 or within float range, 5e-324 to 1.8e308"
 
     @pytest.mark.parametrize(
         "weights, message",
@@ -631,10 +637,24 @@ class TestWordGraphValidation:
             ({("a", "b"): Fraction(1), ("a", "c"): Fraction(-1, 2), ("b", "c"): Fraction(0)}, SIGN),
             ({("a", "b"): 0, ("a", "c"): -1, ("b", "c"): 2}, SIGN),
             ({("a", "b"): 0.5, ("a", "c"): Fraction(1), ("b", "c"): -0.25}, SIGN),
+            ({("a", "b"): 0, ("a", "c"): inf, ("b", "c"): 1}, RANGE),
+            ({("a", "b"): -inf, ("a", "c"): 1, ("b", "c"): 1}, RANGE),
+            ({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 10**400}, RANGE),
+            ({("a", "b"): Fraction(10**400, 3), ("a", "c"): 1, ("b", "c"): 1}, RANGE),
+            ({("a", "b"): 1, ("a", "c"): -(10**400), ("b", "c"): 1}, RANGE),
+            ({("a", "b"): Fraction(1, 10**400), ("a", "c"): 1, ("b", "c"): 1}, RANGE),
+            # Read by its float first: as an integer ratio it would take gigabytes.
+            ({("a", "b"): 1, ("a", "c"): Decimal("1e-999999999"), ("b", "c"): 1}, RANGE),
+            ({("a", "b"): 1, ("a", "c"): Decimal("1e999999999"), ("b", "c"): 1}, RANGE),
+            ({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): Decimal("sNaN")}, "edge weights must not be NaN"),
+            ({("a", "b"): 1, ("a", "c"): "0.5", ("b", "c"): 1}, "edge weights must be numbers, got str"),
+            ({("a", "b"): 1, ("a", "c"): 1, ("b", "c"): None}, "edge weights must be numbers, got NoneType"),
         ],
         ids=[
             "missing-pair", "reversed-pair", "unknown-vertex", "extra-pair",
             "negative", "negative-int", "negative-float",
+            "inf", "negative-inf", "int-past-float", "fraction-past-float", "negative-int-past-float",
+            "fraction-below-float", "decimal-below-float", "decimal-past-float", "signalling-nan", "str", "none",
         ],
     )
     def test_bad_input_rejected_with_its_message(self, weights, message):
@@ -654,6 +674,16 @@ class TestWordGraphValidation:
     def test_non_negative_float_weights_accepted(self):
         graph = WordGraph(vertices=("a", "b", "c"), weights={("a", "b"): 0.5, ("a", "c"): 0.0, ("b", "c"): 2})
         assert graph.edges() == [("a", "b", 0.5), ("a", "c", 0.0), ("b", "c", 2)]
+
+    def test_equal_weights_read_back_as_one_fraction(self):
+        weights = {("a", "b"): Fraction(1, 3), ("a", "c"): Fraction(2, 6), ("b", "c"): Decimal("0.5"), ("a", "d"): 0.5}
+        weights.update({("b", "d"): True, ("c", "d"): Fraction(1)})
+        graph = WordGraph(vertices=("d", "c", "b", "a"), weights=weights)
+        assert all(type(w) is Fraction for w in graph.weights.values())
+        assert graph.weights["a", "b"] is graph.weights["a", "c"] == Fraction(1, 3)
+        assert graph.weights["b", "c"] is graph.weights["a", "d"] == Fraction(1, 2)
+        assert graph.weights["b", "d"] is graph.weights["c", "d"] == 1
+        assert isinstance(graph.weights.table, _Ratios) and all(type(code) is int for code in graph.weights.codes)
 
     def test_key_that_is_not_a_pair_rejected(self):
         with pytest.raises(ValueError, match="sorted vertex pair"):
@@ -687,7 +717,7 @@ class TestEdgeOrderAndDot:
         rng = random.Random(83)
         for n in range(1, 9):
             vertices = tuple(f"v{i}" for i in rng.sample(range(20), n))
-            weights = hand_built_weights(rng, vertices, TIE_VALUES)
+            weights = hand_built_weights(rng, vertices, DOT_VALUES)
             graph = WordGraph(vertices=vertices, weights=weights)
             edges = list(weights.items())
             assert graph.edges() == sorted((a, b, w) for (a, b), w in edges)
