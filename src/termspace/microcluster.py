@@ -337,7 +337,8 @@ def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
     from a cluster of a subset of its words. A tree word missing from the
     cluster, or a duplicated one, raises ``ValueError``.
     """
-    if missing := sorted(set(tree.words).difference(full.words)):
+    if not set(tree.words) <= set(full.words):
+        missing = sorted(set(tree.words) - set(full.words))
         raise ValueError(f"tree words not in the cluster: {missing}")
     vertices = set(tree.vertices)
     if (

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Index, Term, _coerce_term, _phrase_starts
+from .engine import Index, Term, _coerce_term, _phrase_starts, singleton
 
 MAX_WINDOW = 50
 
@@ -86,10 +86,11 @@ def extract_snippets(
     if per_doc_limit < 1:
         raise ValueError(f"per_doc_limit must be at least 1, got {per_doc_limit}")
     t = _coerce_term(term)
-    postings = [index.postings.get(tok, {}) for tok in t.tokens]  # an absent token holds no document
+    # Every token is present whenever the event is non-empty.
+    postings = [index.postings.get(tok) for tok in t.tokens]
     m = len(t.tokens)
     collected: list[Snippet] = []
-    for doc_id in sorted(set(postings[0]).intersection(*postings[1:])):  # one with no aligned start adds nothing
+    for doc_id in sorted(singleton(index, t).doc_ids):
         doc_tokens = index.documents[doc_id]
         starts = sorted(_phrase_starts(postings, doc_id))
         for pos in starts[:per_doc_limit]:

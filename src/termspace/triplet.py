@@ -103,10 +103,12 @@ class Context:
         word_set = set(self.words)
         if any(len(order) != len(word_set) or set(order) != word_set for order in (self.nu_order, self.mu_order)):
             raise ValueError("sort orders must be permutations of the context words")
-        for key, order in (("nu", self.nu_order), ("mu", self.mu_order)):
-            values = [getattr(self.words[w], key) for w in order]
-            if any(a < b for a, b in zip(values, values[1:])):
-                raise ValueError(f"{key}_order must be non-increasing in {key}")
+        nus = [self.words[w].nu for w in self.nu_order]
+        mus = [self.words[w].mu for w in self.mu_order]
+        if any(a < b for a, b in zip(nus, nus[1:])):
+            raise ValueError("nu_order must be non-increasing in nu")
+        if any(a < b for a, b in zip(mus, mus[1:])):
+            raise ValueError("mu_order must be non-increasing in mu")
 
 
 def build_context(
