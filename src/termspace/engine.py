@@ -3,7 +3,9 @@
 Provides tokenization, index construction, and the two event-space queries
 the rest of the library is built on: the set of documents matching one
 term (singleton) and the set matching two distinct terms (doubleton).
-Hit counts are exact by default; an optional bias configuration injects a
+An event is a bitset over the sorted document ids: a doubleton is one
+``&``, a count one ``bit_count``, and a bit walk yields sorted ids. Hit
+counts are exact by default; an optional bias configuration injects a
 seeded, reproducible perturbation to mimic the unreliable counts reported
 by real search engines.
 """
@@ -17,7 +19,9 @@ import math
 import random
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,6 +31,7 @@ BIAS_MODES = ("none", "additive", "multiplicative")
 # pattern ``\w`` is exactly ``isalnum`` plus the underscore, which the
 # class removes again.
 _TOKEN = re.compile(r"[^\W_]+")
+_BITS = bytes.maketrans(b"01", b"\0\1")  # ``bin`` digits as selectors for ``compress``
 
 
 def tokenize(text: str) -> list[str]:
@@ -75,18 +80,50 @@ class Term:
         return " ".join(self.tokens)
 
 
+class _IdTable(tuple):
+    """Document ids in sorted order; each id's place and ``json.dumps`` text are made when first read."""
+
+    @cached_property
+    def place(self) -> dict[str, int]:
+        return dict(zip(self, range(len(self))))
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(map(json.dumps, self))
+
+    def bits(self, ids: Iterable[str]) -> int:  # bit i for each self[i] in ids
+        # One "0"/"1" digit per id read as one base-2 int: linear, where a sum of 1 << i grows per id.
+        mask = bytearray(b"0") * len(self)
+        for i in map(self.place.__getitem__, ids):
+            mask[i] = 49  # b"1"
+        return int(mask[::-1] or b"0", 2)
+
+
 @dataclass(frozen=True)
 class Index:
     """Immutable inverted index: the document universe plus positional postings.
 
     ``documents`` maps each document id to its tokens (maybe none), and
     ``postings`` each token to the documents containing it and the
-    positions at which it occurs. Built once by :func:`build_index`; all
-    queries are read-only, so an index is safe to share across threads.
+    positions at which it occurs. Built once by :func:`build_index`. The
+    sorted ``table`` of ids and each token's :meth:`bitset` over it are made
+    when first read and kept; every fill stores the same value, so an index
+    is safe to share across threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
     postings: Mapping[str, Mapping[str, tuple[int, ...]]]
+    _bitsets: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def table(self) -> _IdTable:
+        return _IdTable(sorted(self.documents))
+
+    def bitset(self, token: str) -> int:
+        """The documents holding ``token`` as a bitset over ``table`` (0 if none)."""
+        if token not in self._bitsets:
+            self._bitsets[token] = self.table.bits(self.postings.get(token, ()))
+        return self._bitsets[token]
 
     @property
     def universe_size(self) -> int:
@@ -97,15 +134,48 @@ class Index:
         return sum(map(len, self.documents.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class EventSet:
-    """A query result: a subset of the indexed document ids."""
+    """A query result: document ids as ``bits`` over a ``table`` of sorted ids, bit ``i`` for ``table[i]``.
 
-    doc_ids: frozenset[str]
+    ``EventSet(doc_ids)`` is over a table of its own ids, a query result over
+    its index's. ``doc_ids`` is made on each read; events compare and hash by it.
+    """
+
+    table: _IdTable
+    bits: int
+
+    def __init__(self, doc_ids: Iterable[str]) -> None:
+        table = _IdTable(sorted(set(doc_ids)))
+        self.__dict__.update(table=table, bits=(1 << len(table)) - 1)
+
+    @classmethod
+    def _of(cls, table: _IdTable, bits: int) -> EventSet:
+        event = cls.__new__(cls)
+        event.__dict__.update(table=table, bits=bits)
+        return event
+
+    def _select(self, items: Sequence[str]) -> Iterator[str]:  # items[i] for each set bit i, in order
+        return compress(items, bin(self.bits)[:1:-1].encode().translate(_BITS))
+
+    @property
+    def doc_ids(self) -> frozenset[str]:
+        return frozenset(self._select(self.table))
 
     @property
     def cardinality(self) -> int:
-        return len(self.doc_ids)
+        return self.bits.bit_count()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventSet):
+            return NotImplemented
+        return self.bits == other.bits if self.table is other.table else self.doc_ids == other.doc_ids
+
+    def __hash__(self) -> int:
+        return hash(self.doc_ids)
+
+    def __repr__(self) -> str:
+        return f"EventSet(doc_ids={self.doc_ids!r})"
 
 
 @dataclass(frozen=True)
@@ -221,9 +291,9 @@ def singleton(index: Index, term: Term | str) -> EventSet:
     t = _coerce_term(term)
     postings = [index.postings.get(tok) for tok in t.tokens]
     if None in postings:
-        return EventSet(frozenset())
+        return EventSet._of(index.table, 0)
     if len(postings) == 1:
-        return EventSet(frozenset(postings[0]))
+        return EventSet._of(index.table, index.bitset(t.tokens[0]))
     candidates = postings[0].keys() & postings[1].keys()
     for docs in postings[2:]:
         candidates &= docs.keys()
@@ -231,7 +301,7 @@ def singleton(index: Index, term: Term | str) -> EventSet:
     shift = len(head).__rsub__
     # ``isdisjoint`` stops at the first aligned position of the last token.
     hits = [d for d in candidates if not _phrase_starts(head, d).isdisjoint(map(shift, last[d]))]
-    return EventSet(frozenset(hits))
+    return EventSet._of(index.table, index.table.bits(hits))
 
 
 def doubleton(index: Index, tx: Term | str, ty: Term | str) -> EventSet:
@@ -242,21 +312,16 @@ def doubleton(index: Index, tx: Term | str, ty: Term | str) -> EventSet:
     a, b = _coerce_term(tx), _coerce_term(ty)
     if a.tokens == b.tokens:
         raise ValueError(f"doubleton requires two distinct terms, got {a.text!r} twice")
-    return EventSet(singleton(index, a).doc_ids & singleton(index, b).doc_ids)
+    return EventSet._of(index.table, singleton(index, a).bits & singleton(index, b).bits)
 
 
-def _seeded_uniform(bias: BiasConfig, doc_ids: Iterable[str], lo: float, hi: float) -> float:
+def _seeded_uniform(bias: BiasConfig, event: EventSet, lo: float, hi: float) -> float:
     # Stable digest over the full input so repeated calls agree across runs
-    # and platforms regardless of hash randomization.
-    payload = json.dumps(
-        {
-            "mode": bias.mode,
-            "magnitude": bias.magnitude,
-            "seed": bias.seed,
-            "docs": sorted(doc_ids),
-        },
-        sort_keys=True,
-    )
+    # and platforms regardless of hash randomization: ``json.dumps`` of the
+    # settings and sorted ids, keys sorted, so the ids' texts come first.
+    rest = json.dumps({"magnitude": bias.magnitude, "mode": bias.mode, "seed": bias.seed}, sort_keys=True)
+    docs = ", ".join(event._select(event.table.texts))
+    payload = '{"docs": [' + docs + "], " + rest[1:]
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     return lo + (hi - lo) * rng.random()
@@ -272,8 +337,8 @@ def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
     if bias is None or bias.mode == "none" or bias.magnitude == 0:
         return count
     if bias.mode == "additive":
-        return count + round(bias.magnitude * _seeded_uniform(bias, event.doc_ids, 0.0, 1.0))
-    noisy = count * (1.0 + bias.magnitude * _seeded_uniform(bias, event.doc_ids, -1.0, 1.0))
+        return count + round(bias.magnitude * _seeded_uniform(bias, event, 0.0, 1.0))
+    noisy = count * (1.0 + bias.magnitude * _seeded_uniform(bias, event, -1.0, 1.0))
     if not math.isfinite(noisy):
         raise ValueError(f"bias magnitude {bias.magnitude!r} overflows the perturbed count")
     return max(0.0, noisy)

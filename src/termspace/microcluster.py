@@ -181,10 +181,10 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     ratio over the two singleton events (0 when the union is empty).
     Counts are always exact; no bias is applied.
 
-    Each vertex's document set, the documents of its postings, is one
-    ``int`` with bit ``i`` set for the index's ``i``-th document, so a
-    pair costs one ``&`` and one ``bit_count`` of ``documents / 64``
-    machine words, and the union size follows from the two set sizes.
+    Each vertex's document set is the index's cached bitset of the word
+    (:meth:`Index.bitset`), so a pair costs one ``&`` and one
+    ``bit_count`` of ``documents / 64`` machine words, and the union size
+    follows from the two set sizes.
     A pair is held as the code ``intersection * (documents + 1) + union``,
     so pairs with equal codes share one ``Fraction`` (it is immutable).
     """
@@ -194,9 +194,7 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
         raise ValueError("cannot build a graph from an empty context")
     vertices = tuple(sorted(ctx.words))
     documents = len(index.documents)
-    bit = {doc_id: 1 << i for i, doc_id in enumerate(index.documents)}
-    # Distinct powers of two, so their sum is their union.
-    bitsets = [sum(map(bit.__getitem__, index.postings.get(w, ()))) for w in vertices]
+    bitsets = list(map(index.bitset, vertices))
     sizes = [b.bit_count() for b in bitsets]
     codes: list[int] = []
     for i, bits in enumerate(bitsets):

@@ -7,8 +7,11 @@ under test, so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
+import json
+import random
 from collections import defaultdict
 from fractions import Fraction
 
@@ -49,6 +52,28 @@ def brute_singleton(corpus, term_tokens):
 
 def brute_doubleton(corpus, tx_tokens, ty_tokens):
     return brute_singleton(corpus, tx_tokens) & brute_singleton(corpus, ty_tokens)
+
+
+def digest_payload(mode, magnitude, seed, doc_ids):
+    """Reference bytes a biased count digests: the settings and sorted ids as one JSON object, keys sorted."""
+    payload = {"mode": mode, "magnitude": magnitude, "seed": seed, "docs": sorted(doc_ids)}
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def biased_count(doc_ids, mode, magnitude, seed):
+    """Reference biased hit count of a document set under an ``additive`` or ``multiplicative`` bias.
+
+    The draw ``u`` is uniform in [0, 1) from a generator seeded with the
+    first 8 bytes of the payload's SHA-256; ``additive`` adds
+    ``round(magnitude * u)``, ``multiplicative`` scales by
+    ``1 + magnitude * (2u - 1)``, floored at 0. ``magnitude`` is a float.
+    """
+    digest = hashlib.sha256(digest_payload(mode, magnitude, seed, doc_ids)).digest()
+    u = random.Random(int.from_bytes(digest[:8], "big")).random()
+    count = len(set(doc_ids))
+    if mode == "additive":
+        return count + round(magnitude * u)
+    return max(0.0, count * (1.0 + magnitude * (-1.0 + 2.0 * u)))
 
 
 def brute_index(corpus):

@@ -28,6 +28,7 @@ from termspace import (
 )
 
 from oracles import (
+    biased_count,
     brute_doubleton,
     brute_index,
     brute_singleton,
@@ -37,6 +38,8 @@ from oracles import (
 )
 
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
+# w8 occurs in no corpus, so some terms hold an absent token.
+TERMS = st.lists(st.sampled_from([f"w{i}" for i in range(9)]), min_size=1, max_size=3).map(tuple)
 DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
 CORPORA = st.lists(DOC_TEXTS, min_size=1, max_size=10).map(
     lambda texts: [(f"d{i:03d}", t) for i, t in enumerate(texts)]
@@ -370,6 +373,94 @@ def test_phrases_with_repeated_and_absent_tokens_match_oracles():
                 if other != tokens:
                     got = doubleton(index, term, Term(tuple(other))).doc_ids
                     assert got == brute_doubleton(corpus, tokens, other)
+
+
+class TestEventSet:
+    def test_index_built_and_hand_built_events_compare_and_hash_equal(self, tiny_index):
+        built = singleton(tiny_index, "alpha")
+        hand = EventSet(frozenset({"D1", "D3"}))
+        assert built == hand and hand == built
+        assert hash(built) == hash(hand) == hash(frozenset({"D1", "D3"}))
+        assert built != EventSet(frozenset({"D1"}))
+        assert doubleton(tiny_index, "alpha", "beta") == EventSet({"D1"})
+        assert repr(hand) == repr(built) == f"EventSet(doc_ids={frozenset({'D1', 'D3'})!r})"
+
+    def test_doc_ids_is_a_frozenset(self, tiny_index):
+        for event in (singleton(tiny_index, "alpha"), singleton(tiny_index, "absent"), EventSet(["x"])):
+            assert type(event.doc_ids) is frozenset
+        assert EventSet(frozenset()).doc_ids == singleton(tiny_index, "absent").doc_ids == frozenset()
+
+    def test_repeated_ids_are_counted_once(self):
+        event = EventSet(["b", "a", "b", "a", "c"])
+        assert event.cardinality == 3
+        assert event.doc_ids == frozenset("abc")
+        assert event == EventSet(iter("cab"))
+
+    def test_events_of_two_indexes_compare_by_their_ids(self):
+        small = build_index([("a", "rock"), ("b", "sun")])
+        large = build_index([("x", "rock"), ("a", "rock"), ("b", "sun"), ("c", "")])
+        shifted = build_index([("0", "rock"), ("a", "sun")])  # bit 0 is "0" here, "a" in small
+        assert singleton(small, "sun") == singleton(large, "sun")
+        assert singleton(small, "rock") != singleton(large, "rock")
+        assert singleton(small, "rock").bits == singleton(shifted, "rock").bits
+        assert singleton(small, "rock") != singleton(shifted, "rock")
+        assert singleton(small, "absent") == singleton(large, "absent") == EventSet(())
+        assert {singleton(small, "sun"), singleton(large, "sun")} == {EventSet({"b"})}
+
+    def test_event_is_immutable(self, tiny_index):
+        import dataclasses
+
+        event = singleton(tiny_index, "alpha")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.bits = 0
+        assert event.cardinality == 2
+
+    @given(CORPORA, TERMS, TERMS)
+    @settings(max_examples=150, deadline=None)
+    def test_singletons_and_doubletons_of_phrases_match_oracles(self, corpus, x, y):
+        index = build_index(corpus)
+        sx, sy = singleton(index, Term(x)), singleton(index, Term(y))
+        assert sx.doc_ids == brute_singleton(corpus, list(x))
+        assert sx.cardinality == len(sx.doc_ids)
+        if x != y:
+            both = doubleton(index, Term(x), Term(y))
+            assert both.doc_ids == brute_doubleton(corpus, list(x), list(y))
+            assert both.cardinality == len(both.doc_ids)
+        else:
+            assert sx == sy
+
+
+class TestBiasDigest:
+    """Every biased count equals the reference draw over ``json.dumps`` of its settings and sorted ids."""
+
+    IDS = ['say "hi"', "back\\slash", "caf\u00e9", "\u96e8", "lone \ud800", "tab\there", "plain", "a, b"]
+    BIASES = [(mode, magnitude, seed) for mode in ("additive", "multiplicative") for magnitude in (0.5, 7.25) for seed in range(12)]
+
+    def test_awkward_ids_draw_the_reference_count(self):
+        rng = random.Random(409)
+        for mode, magnitude, seed in self.BIASES:
+            ids = rng.sample(self.IDS, rng.randint(1, len(self.IDS)))
+            got = hit_count(EventSet(frozenset(ids)), BiasConfig(mode, magnitude, seed))
+            assert got == biased_count(ids, mode, magnitude, seed)
+
+    def test_empty_events_draw_the_reference_count(self):
+        index = build_index([("d0", "rock")])
+        for mode, magnitude, seed in self.BIASES:
+            expected = biased_count([], mode, magnitude, seed)
+            for event in (EventSet(frozenset()), singleton(index, "absent"), singleton(index, "rock rock")):
+                assert hit_count(event, BiasConfig(mode, magnitude, seed)) == expected
+
+    def test_index_built_and_hand_built_events_draw_alike(self):
+        corpus = [(doc_id, "rock sun" if i % 3 else "sun") for i, doc_id in enumerate(self.IDS)]
+        corpus += [(f"d{i:03d}", "rock rain") for i in range(40)]
+        index = build_index(corpus)
+        events = [singleton(index, "rock"), singleton(index, "sun rock"), doubleton(index, "rock", "sun")]
+        for mode, magnitude, seed in self.BIASES:
+            bias = BiasConfig(mode, magnitude, seed)
+            for event in events:
+                ids = sorted(event.doc_ids)
+                expected = biased_count(ids, mode, magnitude, seed)
+                assert hit_count(event, bias) == hit_count(EventSet(frozenset(ids)), bias) == expected
 
 
 class TestCorpusLoaders:

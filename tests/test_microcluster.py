@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -784,6 +785,24 @@ class TestLabelsFromCodes:
         assert graph_to_dot(graph) == dot_text(graph.vertices, graph.edges())
         mc = micro_cluster(graph, ctx, 0)
         assert graph_to_dot(mc.graph) == dot_text(mc.graph.vertices, mc.graph.edges())
+
+
+def test_graph_over_20000_documents_reads_the_index_bitsets_in_little_memory():
+    # One bitset per vertex, not a power of two per document: N ints of up to N bits peak near 28 MB here.
+    words = ["w0", "w1", "w2", "w3", "w4"]
+    corpus = [(f"d{i:05d}", " ".join(w for k, w in enumerate(words) if i % (k + 2) == 0) + " pad") for i in range(20000)]
+    index = build_index(corpus)
+    ctx = context_of({w: (Fraction(1, 2), 1) for w in words})
+    tracemalloc.start()
+    try:
+        graph = build_word_graph(ctx, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    halves, thirds = set(range(0, 20000, 2)), set(range(0, 20000, 3))
+    assert graph.weight("w0", "w1") == Fraction(len(halves & thirds), len(halves | thirds))
+    assert graph_to_dot(graph) == dot_text(graph.vertices, graph.edges())
 
 
 class TestWeightsView:
