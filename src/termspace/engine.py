@@ -120,10 +120,13 @@ class Index:
         return _IdTable(sorted(self.documents))
 
     def bitset(self, token: str) -> int:
-        """The documents holding ``token`` as a bitset over ``table`` (0 if none)."""
-        if token not in self._bitsets:
-            self._bitsets[token] = self.table.bits(self.postings.get(token, ()))
-        return self._bitsets[token]
+        """The documents holding ``token`` as a bitset over ``table`` (0 if none); up to 1024 tokens' are kept."""
+        bits = self._bitsets.get(token)
+        if bits is None:
+            if len(self._bitsets) >= 1024:
+                self._bitsets.clear()
+            bits = self._bitsets[token] = self.table.bits(self.postings.get(token, ()))
+        return bits
 
     @property
     def universe_size(self) -> int:
@@ -134,16 +137,17 @@ class Index:
         return sum(map(len, self.documents.values()))
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True)
 class EventSet:
     """A query result: document ids as ``bits`` over a ``table`` of sorted ids, bit ``i`` for ``table[i]``.
 
     ``EventSet(doc_ids)`` is over a table of its own ids, a query result over
     its index's. ``doc_ids`` is made on each read; events compare and hash by it.
+    ``dataclasses.replace`` takes ``doc_ids`` alone, as the constructor does.
     """
 
-    table: _IdTable
-    bits: int
+    table: _IdTable = field(init=False)
+    bits: int = field(init=False)
 
     def __init__(self, doc_ids: Iterable[str]) -> None:
         table = _IdTable(sorted(set(doc_ids)))
@@ -169,7 +173,7 @@ class EventSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventSet):
             return NotImplemented
-        return self.bits == other.bits if self.table is other.table else self.doc_ids == other.doc_ids
+        return self.doc_ids == other.doc_ids
 
     def __hash__(self) -> int:
         return hash(self.doc_ids)

@@ -415,6 +415,53 @@ class TestEventSet:
             event.bits = 0
         assert event.cardinality == 2
 
+    def test_replace_takes_doc_ids_alone(self, tiny_index):
+        import dataclasses
+
+        event = singleton(tiny_index, "alpha")
+        assert dataclasses.replace(event, doc_ids={"D2"}) == EventSet({"D2"})
+        for name in ("table", "bits"):
+            with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+                dataclasses.replace(event, **{name: 0})
+        with pytest.raises(TypeError, match="doc_ids"):
+            dataclasses.replace(event)
+
+    def test_index_keeps_at_most_1024_token_bitsets(self):
+        words = [f"w{i}" for i in range(1100)]
+        index = build_index([("a", " ".join(words)), ("b", "w7 w1099")])
+        for w in words + words[:50]:
+            assert index.bitset(w) == (0b11 if w in ("w7", "w1099") else 0b01)
+            assert len(index._bitsets) <= 1024
+        assert index.bitset("absent") == 0
+        assert singleton(index, "w1099").doc_ids == frozenset("ab")
+
+    def test_threads_sharing_an_index_read_the_right_bitsets(self):
+        import threading
+
+        words = [f"w{i}" for i in range(1100)]
+        index = build_index([("a", " ".join(words)), ("b", " ".join(words[::3]))])
+        expected = {w: 0b11 if i % 3 == 0 else 0b01 for i, w in enumerate(words)}
+        wrong: list[str] = []
+
+        def reader(seed: int) -> None:
+            for w in random.Random(seed).sample(words, len(words)):
+                if index.bitset(w) != expected[w] or singleton(index, w).cardinality != expected[w].bit_count():
+                    wrong.append(w)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(index._bitsets) <= 1024 + len(threads)  # a fill may land just after another thread's emptying
+
     @given(CORPORA, TERMS, TERMS)
     @settings(max_examples=150, deadline=None)
     def test_singletons_and_doubletons_of_phrases_match_oracles(self, corpus, x, y):
