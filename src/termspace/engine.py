@@ -18,7 +18,6 @@ import json
 import math
 import random
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -32,6 +31,11 @@ BIAS_MODES = ("none", "additive", "multiplicative")
 # class removes again.
 _TOKEN = re.compile(r"[^\W_]+")
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ``bin`` digits as selectors for ``compress``
+
+
+def _select(items: Sequence, bits: int) -> Iterator:
+    """``items[i]`` for each set bit ``i`` of ``bits``, lowest first."""
+    return compress(items, bin(bits)[:1:-1].encode().translate(_BITS))
 
 
 def tokenize(text: str) -> list[str]:
@@ -104,15 +108,16 @@ class Index:
     """Immutable inverted index: the document universe plus positional postings.
 
     ``documents`` maps each document id to its tokens (maybe none), and
-    ``postings`` each token to the documents containing it and the
-    positions at which it occurs. Built once by :func:`build_index`. The
+    ``postings`` each token to the documents containing it, each with an
+    ``int`` mask of the positions at which it occurs (bit ``p`` for position
+    ``p``). Built once by :func:`build_index`. The
     sorted ``table`` of ids and each token's :meth:`bitset` over it are made
     when first read and kept; every fill stores the same value, so an index
     is safe to share across threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
-    postings: Mapping[str, Mapping[str, tuple[int, ...]]]
+    postings: Mapping[str, Mapping[str, int]]
     _bitsets: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
@@ -151,20 +156,17 @@ class EventSet:
 
     def __init__(self, doc_ids: Iterable[str]) -> None:
         table = _IdTable(sorted(set(doc_ids)))
-        self.__dict__.update(table=table, bits=(1 << len(table)) - 1)
+        self._of(table, (1 << len(table)) - 1, into=self)
 
     @classmethod
-    def _of(cls, table: _IdTable, bits: int) -> EventSet:
-        event = cls.__new__(cls)
+    def _of(cls, table: _IdTable, bits: int, into: EventSet | None = None) -> EventSet:
+        event = cls.__new__(cls) if into is None else into  # ``__init__`` fills itself here
         event.__dict__.update(table=table, bits=bits)
         return event
 
-    def _select(self, items: Sequence[str]) -> Iterator[str]:  # items[i] for each set bit i, in order
-        return compress(items, bin(self.bits)[:1:-1].encode().translate(_BITS))
-
     @property
     def doc_ids(self) -> frozenset[str]:
-        return frozenset(self._select(self.table))
+        return frozenset(_select(self.table, self.bits))
 
     @property
     def cardinality(self) -> int:
@@ -216,26 +218,15 @@ class BiasConfig:
             raise ValueError("bias magnitude must be non-negative")
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Disable the cyclic garbage collector for the block, then restore its previous setting."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     """Index a corpus of ``(id, raw text)`` pairs.
 
     Ids must be unique; a duplicate is rejected by name. Documents are
     tokenized with :func:`tokenize` and postings record every occurrence
-    position: one pass per document gathers each token's positions, and
-    the postings store them as one tuple per (token, document), tokens in
-    order of first occurrence and documents in corpus order.
+    position as one ``int`` mask per (token, document), bit ``p`` set for
+    each position ``p``: one pass per document ORs each token's bits
+    together. Tokens keep their order of first occurrence and documents
+    their corpus order.
 
     The cyclic garbage collector is paused while building (and its
     previous setting restored): the build makes no reference cycles, so
@@ -243,25 +234,26 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     the millions of new containers would otherwise trigger are pure cost.
     """
     documents: dict[str, tuple[str, ...]] = {}
-    postings: dict[str, dict[str, tuple[int, ...]]] = {}
-    with _gc_paused():
+    postings: dict[str, dict[str, int]] = {}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         for doc_id, text in corpus:
             if doc_id in documents:
                 raise ValueError(f"duplicate document id: {doc_id!r}")
             tokens = documents[doc_id] = tuple(tokenize(text))
-            positions: dict[str, list[int]] = {}
+            masks: dict[str, int] = {}
             for pos, tok in enumerate(tokens):
-                where = positions.get(tok)
-                if where is None:
-                    positions[tok] = [pos]
-                else:
-                    where.append(pos)
-            for tok, where in positions.items():
+                masks[tok] = masks.get(tok, 0) | 1 << pos
+            for tok, mask in masks.items():
                 docs = postings.get(tok)
                 if docs is None:
-                    postings[tok] = {doc_id: tuple(where)}
+                    postings[tok] = {doc_id: mask}
                 else:
-                    docs[doc_id] = tuple(where)
+                    docs[doc_id] = mask
+    finally:
+        if was_enabled:
+            gc.enable()
     return Index(documents=documents, postings=postings)
 
 
@@ -278,19 +270,29 @@ def _coerce_term(term: Term | str) -> Term:
     return term if isinstance(term, Term) else Term.parse(term)
 
 
-def _phrase_starts(postings: Sequence[Mapping[str, tuple[int, ...]]], doc_id: str) -> set[int]:
-    """Positions ``s`` in ``doc_id`` with token ``k`` of ``postings`` at ``s + k``, for every ``k``."""
-    starts = set(postings[0][doc_id])
-    for k in range(1, len(postings)):
-        starts.intersection_update(map(k.__rsub__, postings[k][doc_id]))
-    return starts
+def _phrase_masks(postings: Sequence[Mapping[str, int]], doc_ids: Iterable[str]) -> dict[str, int]:
+    """Each of ``doc_ids`` whose mask of phrase starts is not 0, mapped to that mask, in the order given.
+
+    Bit ``s`` of a start mask is set when token ``k`` of ``postings`` is at
+    ``s + k`` for every ``k``: the shift-and ``m0 & (m1 >> 1) & … & (mk >> k)``
+    of the document's position masks. Every id must be in every token's postings.
+    """
+    first = postings[0]
+    if len(postings) == 1:
+        return {d: first[d] for d in doc_ids}
+    second = postings[1]  # the first two tokens in one pass: no dict of the first token's masks is built
+    live = {d: m for d in doc_ids if (m := first[d] & second[d] >> 1)}
+    for k in range(2, len(postings)):
+        docs = postings[k]
+        live = {d: m for d, m0 in live.items() if (m := m0 & docs[d] >> k)}
+    return live
 
 
 def singleton(index: Index, term: Term | str) -> EventSet:
     """Documents containing ``term`` as a contiguous phrase.
 
     A phrase matches where every token occurs with the positions lined up
-    (a positional intersect). A term absent everywhere yields an empty set.
+    (a shift-and of position masks). A term absent everywhere yields an empty set.
     """
     t = _coerce_term(term)
     postings = [index.postings.get(tok) for tok in t.tokens]
@@ -301,11 +303,7 @@ def singleton(index: Index, term: Term | str) -> EventSet:
     candidates = postings[0].keys() & postings[1].keys()
     for docs in postings[2:]:
         candidates &= docs.keys()
-    *head, last = postings
-    shift = len(head).__rsub__
-    # ``isdisjoint`` stops at the first aligned position of the last token.
-    hits = [d for d in candidates if not _phrase_starts(head, d).isdisjoint(map(shift, last[d]))]
-    return EventSet._of(index.table, index.table.bits(hits))
+    return EventSet._of(index.table, index.table.bits(_phrase_masks(postings, candidates)))
 
 
 def doubleton(index: Index, tx: Term | str, ty: Term | str) -> EventSet:
@@ -324,7 +322,7 @@ def _seeded_uniform(bias: BiasConfig, event: EventSet, lo: float, hi: float) -> 
     # and platforms regardless of hash randomization: ``json.dumps`` of the
     # settings and sorted ids, keys sorted, so the ids' texts come first.
     rest = json.dumps({"magnitude": bias.magnitude, "mode": bias.mode, "seed": bias.seed}, sort_keys=True)
-    docs = ", ".join(event._select(event.table.texts))
+    docs = ", ".join(_select(event.table.texts, event.bits))
     payload = '{"docs": [' + docs + "], " + rest[1:]
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))

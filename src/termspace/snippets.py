@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Index, Term, _coerce_term, _phrase_starts, singleton
+from .engine import Index, Term, _coerce_term, _phrase_masks, _select, singleton
 
 MAX_WINDOW = 50
 
@@ -90,9 +90,9 @@ def extract_snippets(
     postings = [index.postings.get(tok) for tok in t.tokens]
     m = len(t.tokens)
     collected: list[Snippet] = []
-    for doc_id in sorted(singleton(index, t).doc_ids):
+    for doc_id, mask in _phrase_masks(postings, sorted(singleton(index, t).doc_ids)).items():
         doc_tokens = index.documents[doc_id]
-        starts = sorted(_phrase_starts(postings, doc_id))
+        starts = list(_select(range(len(doc_tokens)), mask))
         for pos in starts[:per_doc_limit]:
             start = max(0, pos - window)
             end = min(len(doc_tokens), pos + m + window)

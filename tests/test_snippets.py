@@ -12,13 +12,14 @@ from termspace import (
     Snippet,
     Term,
     build_index,
+    doubleton,
     extract_snippets,
     occurrence_positions,
     singleton,
 )
 
 from conftest import random_corpus, random_present_term
-from oracles import window_snippets
+from oracles import brute_doubleton, brute_singleton, window_snippets
 
 WORDS = st.sampled_from([f"w{i}" for i in range(8)])
 CORPORA = st.lists(st.lists(WORDS, max_size=30).map(" ".join), min_size=1, max_size=10).map(
@@ -151,6 +152,38 @@ def test_spans_list_every_occurrence_in_the_window():
         assert [(s.doc_id, list(s.words)) for s in result.snippets] == expected
         for snippet in result.snippets:
             assert snippet.term_spans == spans_by_rescan(snippet, tokens)
+
+
+def test_long_documents_match_oracles():
+    # Documents of 60-2000 tokens put positions far past bit 63 of a postings
+    # mask. A skewed three-word alphabet makes repeated tokens common and the
+    # longer phrases rare, and half the documents end in a phrase.
+    rng = random.Random(2113)
+    alphabet = ("w0", "w1", "w2")
+    phrases = [("w0",), ("w2",), ("w0", "w0"), ("w1", "w2"), ("w0", "w1", "w0"),
+               ("w2", "w0", "w2"), ("w1", "w1", "w1"), ("w0", "w0", "w0", "w0"), ("w2", "w2", "w1", "w2")]
+    ending = 0
+    for _ in range(12):
+        corpus = []
+        for i in range(rng.randint(1, 5)):
+            tokens = rng.choices(alphabet, weights=(8, 3, 1), k=rng.randint(60, 2000))
+            if rng.random() < 0.5:
+                phrase = rng.choice(phrases)
+                tokens[-len(phrase):] = phrase
+            corpus.append((f"d{i:03d}", " ".join(tokens)))
+        index = build_index(corpus)
+        for tokens in phrases:
+            ending += sum(text.split()[-len(tokens):] == list(tokens) for _, text in corpus)
+            assert singleton(index, Term(tokens)).doc_ids == brute_singleton(corpus, list(tokens))
+            window, limit = rng.randint(1, 6), rng.randint(1, 3)
+            result = extract_snippets(index, Term(tokens), window, limit)
+            expected = window_snippets(corpus, list(tokens), window, limit)
+            assert [(s.doc_id, list(s.words)) for s in result.snippets] == expected
+            for snippet in result.snippets:
+                assert snippet.term_spans == spans_by_rescan(snippet, tokens)
+        x, y = rng.sample(phrases, 2)
+        assert doubleton(index, Term(x), Term(y)).doc_ids == brute_doubleton(corpus, list(x), list(y))
+    assert ending > 20  # phrases that match at a document's last position
 
 
 @pytest.mark.parametrize(
