@@ -12,12 +12,12 @@ by real search engines.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import math
 import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -31,10 +31,10 @@ BIAS_MODES = ("none", "additive", "multiplicative")
 # class removes again.
 _TOKEN = re.compile(r"[^\W_]+")
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ``bin`` digits as selectors for ``compress``
+_OR_IN_PLACE = 1 << 14  # document length past which byte rows build masks faster than ORs (English text)
 
 
-def _select(items: Sequence, bits: int) -> Iterator:
-    """``items[i]`` for each set bit ``i`` of ``bits``, lowest first."""
+def _select(items: Sequence, bits: int) -> Iterator:  # items[i] for each set bit i of bits, lowest first
     return compress(items, bin(bits)[:1:-1].encode().translate(_BITS))
 
 
@@ -109,11 +109,11 @@ class Index:
 
     ``documents`` maps each document id to its tokens (maybe none), and
     ``postings`` each token to the documents containing it, each with an
-    ``int`` mask of the positions at which it occurs (bit ``p`` for position
-    ``p``). Built once by :func:`build_index`. The
-    sorted ``table`` of ids and each token's :meth:`bitset` over it are made
-    when first read and kept; every fill stores the same value, so an index
-    is safe to share across threads.
+    ``int`` mask of its positions there, bit ``p`` for position ``p``
+    (:func:`build_index` gives its size). The sorted ``table`` of ids and
+    each token's :meth:`bitset` over it are made when first read and kept;
+    every fill stores the same value, so an index is safe to share across
+    threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
@@ -156,11 +156,11 @@ class EventSet:
 
     def __init__(self, doc_ids: Iterable[str]) -> None:
         table = _IdTable(sorted(set(doc_ids)))
-        self._of(table, (1 << len(table)) - 1, into=self)
+        self.__dict__.update(table=table, bits=(1 << len(table)) - 1)
 
     @classmethod
-    def _of(cls, table: _IdTable, bits: int, into: EventSet | None = None) -> EventSet:
-        event = cls.__new__(cls) if into is None else into  # ``__init__`` fills itself here
+    def _of(cls, table: _IdTable, bits: int) -> EventSet:
+        event = cls.__new__(cls)
         event.__dict__.update(table=table, bits=bits)
         return event
 
@@ -224,37 +224,38 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     Ids must be unique; a duplicate is rejected by name. Documents are
     tokenized with :func:`tokenize` and postings record every occurrence
     position as one ``int`` mask per (token, document), bit ``p`` set for
-    each position ``p``: one pass per document ORs each token's bits
-    together. Tokens keep their order of first occurrence and documents
-    their corpus order.
-
-    The cyclic garbage collector is paused while building (and its
-    previous setting restored): the build makes no reference cycles, so
-    reference counting frees everything it discards, and the collections
-    the millions of new containers would otherwise trigger are pure cost.
+    each position ``p``. Tokens keep their order of first occurrence and
+    documents their corpus order. A mask has as many bits as its token's
+    last position: a document costs about (distinct tokens x length / 2)
+    bits, against about 36 bytes a token as position tuples.
     """
     documents: dict[str, tuple[str, ...]] = {}
-    postings: dict[str, dict[str, int]] = {}
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for doc_id, text in corpus:
-            if doc_id in documents:
-                raise ValueError(f"duplicate document id: {doc_id!r}")
-            tokens = documents[doc_id] = tuple(tokenize(text))
-            masks: dict[str, int] = {}
-            for pos, tok in enumerate(tokens):
-                masks[tok] = masks.get(tok, 0) | 1 << pos
-            for tok, mask in masks.items():
-                docs = postings.get(tok)
-                if docs is None:
-                    postings[tok] = {doc_id: mask}
-                else:
-                    docs[doc_id] = mask
-    finally:
-        if was_enabled:
-            gc.enable()
-    return Index(documents=documents, postings=postings)
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
+    for doc_id, text in corpus:
+        if doc_id in documents:
+            raise ValueError(f"duplicate document id: {doc_id!r}")
+        tokens = documents[doc_id] = tuple(tokenize(text))
+        for tok, mask in _position_masks(tokens).items():
+            postings[tok][doc_id] = mask
+    return Index(documents=documents, postings=dict(postings))
+
+
+def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
+    """Each token's position mask, bit ``p`` for position ``p``, in order of first occurrence."""
+    masks: dict[str, int] = {}
+    if len(tokens) <= _OR_IN_PLACE:  # fastest while masks are short, but each OR copies its mask
+        for pos, tok in enumerate(tokens):
+            masks[tok] = masks.get(tok, 0) | 1 << pos
+        return masks
+    positions: dict[str, list[int]] = {}  # past it, each mask is written once, as bytes: linear work
+    for pos, tok in enumerate(tokens):
+        positions.setdefault(tok, []).append(pos)
+    for tok, where in positions.items():
+        row = bytearray(where[-1] // 8 + 1)
+        for pos in where:
+            row[pos >> 3] |= 1 << (pos & 7)
+        masks[tok] = int.from_bytes(row, "little")
+    return masks
 
 
 def occurrence_positions(haystack: Sequence[str], needle: Sequence[str]) -> list[int]:

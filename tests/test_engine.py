@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termspace import engine
 from termspace import (
     BiasConfig,
     EventSet,
@@ -125,7 +126,7 @@ class TestTerm:
 
 def mask_positions(mask):
     """The positions a postings mask holds, ascending: bit ``p`` is position ``p``."""
-    return tuple(pos for pos in range(mask.bit_length()) if mask >> pos & 1)
+    return tuple(pos for pos, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 class TestBuildIndex:
@@ -189,6 +190,19 @@ class TestIndexOracle:
         for _ in range(60):
             self.assert_matches_oracle(random_corpus(rng, min_docs=0))
 
+    def test_documents_either_side_of_the_in_place_limit_match_oracle(self):
+        # ``build_index`` ORs positions in place up to ``_OR_IN_PLACE`` tokens and
+        # writes masks as bytes past it; both must give the oracle's positions.
+        rng = random.Random(47)
+        alphabet = tuple(f"w{i}" for i in range(12))
+        limit = engine._OR_IN_PLACE
+        corpus = [
+            (f"d{n}", " ".join(rng.choices(alphabet, weights=range(12, 0, -1), k=n)))
+            for n in (limit - 1, limit, limit + 1, 2 * limit + 9)
+        ]
+        corpus.append(("rare", " ".join(["w0"] * (limit + 7) + ["w11"])))  # one bit past the limit
+        self.assert_matches_oracle(corpus)
+
     def test_random_mixed_case_and_non_ascii_corpora_match_oracle(self):
         rng = random.Random(43)
         from conftest import random_corpus
@@ -238,7 +252,7 @@ def failing_corpus():
 
 
 class TestCollectorState:
-    """``build_index`` pauses the cyclic collector and restores its previous setting."""
+    """``build_index`` leaves the cyclic collector's setting as it found it, also when it raises."""
 
     def test_restored_after_build(self, collector):
         build_index([("a", "x y"), ("b", "y z")])
