@@ -3,11 +3,11 @@
 Provides tokenization, index construction, and the two event-space queries
 the rest of the library is built on: the set of documents matching one
 term (singleton) and the set matching two distinct terms (doubleton).
-An event is a bitset over the sorted document ids: a doubleton is one
-``&``, a count one ``bit_count``, and a bit walk yields sorted ids. Hit
-counts are exact by default; an optional bias configuration injects a
-seeded, reproducible perturbation to mimic the unreliable counts reported
-by real search engines.
+An event is a bitset over the sorted document ids: a term's is the AND of its
+tokens' bitsets, narrowed for a phrase by a shift-and of position masks; a
+doubleton is one ``&``, a count one ``bit_count``. Hit counts are exact by
+default; an optional bias configuration injects a seeded, reproducible
+perturbation to mimic the unreliable counts reported by real search engines.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import and_
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -111,9 +112,9 @@ class Index:
     ``postings`` each token to the documents containing it, each with an
     ``int`` mask of its positions there, bit ``p`` for position ``p``
     (:func:`build_index` gives its size). The sorted ``table`` of ids and
-    each token's :meth:`bitset` over it are made when first read and kept;
-    every fill stores the same value, so an index is safe to share across
-    threads.
+    each token's :meth:`bitset` over it, a word's or a phrase token's alike,
+    are made when first read and kept; every fill stores the same value, so
+    an index is safe to share across threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
@@ -125,7 +126,8 @@ class Index:
         return _IdTable(sorted(self.documents))
 
     def bitset(self, token: str) -> int:
-        """The documents holding ``token`` as a bitset over ``table`` (0 if none); up to 1024 tokens' are kept."""
+        """The documents holding ``token`` as a bitset over ``table`` (0 if none); up to 1024 tokens' are kept,
+        words' and phrase tokens' alike: a phrase's candidates are the AND of its tokens' bitsets."""
         bits = self._bitsets.get(token)
         if bits is None:
             if len(self._bitsets) >= 1024:
@@ -271,40 +273,35 @@ def _coerce_term(term: Term | str) -> Term:
     return term if isinstance(term, Term) else Term.parse(term)
 
 
-def _phrase_masks(postings: Sequence[Mapping[str, int]], doc_ids: Iterable[str]) -> dict[str, int]:
-    """Each of ``doc_ids`` whose mask of phrase starts is not 0, mapped to that mask, in the order given.
+def _phrase_masks(index: Index, tokens: Sequence[str], bits: int) -> dict[str, int]:
+    """Each document of ``bits`` whose mask of phrase starts is not 0, mapped to that mask, in table order.
 
-    Bit ``s`` of a start mask is set when token ``k`` of ``postings`` is at
-    ``s + k`` for every ``k``: the shift-and ``m0 & (m1 >> 1) & … & (mk >> k)``
-    of the document's position masks. Every id must be in every token's postings.
+    Bit ``s`` of a start mask is set when ``tokens[k]`` is at ``s + k`` for every ``k``: the shift-and
+    ``m0 & (m1 >> 1) & … & (mk >> k)`` of the document's position masks. Every document of ``bits``,
+    a bitset over ``index.table`` such as the AND of the tokens' bitsets, must hold every token.
     """
-    first = postings[0]
-    if len(postings) == 1:
-        return {d: first[d] for d in doc_ids}
-    second = postings[1]  # the first two tokens in one pass: no dict of the first token's masks is built
-    live = {d: m for d in doc_ids if (m := first[d] & second[d] >> 1)}
-    for k in range(2, len(postings)):
-        docs = postings[k]
-        live = {d: m for d, m0 in live.items() if (m := m0 & docs[d] >> k)}
+    docs = _select(index.table, bits)
+    first, *rest = [index.postings.get(tok, {}) for tok in tokens]
+    if not rest:
+        return {d: first[d] for d in docs}
+    second = rest[0]  # the first two tokens in one pass: no dict of the first token's masks is built
+    live = {d: m for d in docs if (m := first[d] & second[d] >> 1)}
+    for k, masks in enumerate(rest[1:], 2):
+        live = {d: m for d, m0 in live.items() if (m := m0 & masks[d] >> k)}
     return live
 
 
 def singleton(index: Index, term: Term | str) -> EventSet:
     """Documents containing ``term`` as a contiguous phrase.
 
-    A phrase matches where every token occurs with the positions lined up
-    (a shift-and of position masks). A term absent everywhere yields an empty set.
+    The candidates are the AND of the tokens' bitsets, 0 if a token is absent; a phrase
+    keeps those where its tokens' positions line up (a shift-and of position masks).
     """
     t = _coerce_term(term)
-    postings = [index.postings.get(tok) for tok in t.tokens]
-    if None in postings:
-        return EventSet._of(index.table, 0)
-    if len(postings) == 1:
-        return EventSet._of(index.table, index.bitset(t.tokens[0]))
-    candidates = postings[0].keys() & postings[1].keys()
-    for docs in postings[2:]:
-        candidates &= docs.keys()
-    return EventSet._of(index.table, index.table.bits(_phrase_masks(postings, candidates)))
+    bits = reduce(and_, map(index.bitset, t.tokens))
+    if bits and len(t.tokens) > 1:
+        bits = index.table.bits(_phrase_masks(index, t.tokens, bits))
+    return EventSet._of(index.table, bits)
 
 
 def doubleton(index: Index, tx: Term | str, ty: Term | str) -> EventSet:

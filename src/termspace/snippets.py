@@ -86,11 +86,9 @@ def extract_snippets(
     if per_doc_limit < 1:
         raise ValueError(f"per_doc_limit must be at least 1, got {per_doc_limit}")
     t = _coerce_term(term)
-    # Every token is present whenever the event is non-empty.
-    postings = [index.postings.get(tok) for tok in t.tokens]
     m = len(t.tokens)
     collected: list[Snippet] = []
-    for doc_id, mask in _phrase_masks(postings, sorted(singleton(index, t).doc_ids)).items():
+    for doc_id, mask in _phrase_masks(index, t.tokens, singleton(index, t).bits).items():
         doc_tokens = index.documents[doc_id]
         starts = list(_select(range(len(doc_tokens)), mask))
         for pos in starts[:per_doc_limit]:

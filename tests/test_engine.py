@@ -395,6 +395,43 @@ def test_phrases_with_repeated_and_absent_tokens_match_oracles():
                     assert got == brute_doubleton(corpus, tokens, other)
 
 
+def test_phrases_read_through_the_bitset_store_match_oracles():
+    # Each term is asked on a fresh index, again on the same index, and after
+    # over 1024 other tokens have been read: they empty the store and fill it to
+    # one short of full, so the term's own reads empty it again part way.
+    # The ids' sorted order is not their corpus order, and holds quotes and non-ASCII.
+    rng = random.Random(61)
+    from conftest import random_corpus
+
+    awkward = ["z", 'q"', "a b", '"', "ß", "Ä", "日本", "d'1", "\\", "\u00e9", "0", "e\u0301"]
+    others = [f"x{i}" for i in range(2047)]  # absent from every corpus
+
+    def phrase():
+        return [rng.choice(("w0", "w1", "w2", "w9")) for _ in range(rng.randint(1, 3))]
+
+    for _ in range(30):
+        texts = random_corpus(rng, alphabet=("w0", "w1", "w2"))
+        ids = rng.sample(awkward, len(texts))
+        if ids == sorted(ids):
+            ids.reverse()
+        corpus = [(doc_id, text) for doc_id, (_, text) in zip(ids, texts)]
+        terms = [phrase() for _ in range(5)] + [["w0", "w0"], ["w2", "w9"]]
+        for tokens in terms:
+            term, other = Term(tuple(tokens)), rng.choice([t for t in terms if t != tokens])
+            window, limit = rng.randint(1, 4), rng.randint(1, 3)
+            index = build_index(corpus)
+            for ask in ("fresh", "again", "after the store emptied"):
+                if ask == "after the store emptied":
+                    for tok in others[: 2047 - len(index._bitsets)]:
+                        index.bitset(tok)
+                    assert len(index._bitsets) == 1023 and not index._bitsets.keys() & {*tokens, *other}
+                assert singleton(index, term).doc_ids == brute_singleton(corpus, tokens), ask
+                got = doubleton(index, term, Term(tuple(other))).doc_ids
+                assert got == brute_doubleton(corpus, tokens, other), ask
+                got = [(s.doc_id, list(s.words)) for s in extract_snippets(index, term, window, limit).snippets]
+                assert got == window_snippets(corpus, tokens, window, limit), ask
+
+
 class TestEventSet:
     def test_index_built_and_hand_built_events_compare_and_hash_equal(self, tiny_index):
         built = singleton(tiny_index, "alpha")
