@@ -43,11 +43,20 @@ def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on runs of non-alphanumeric characters.
 
     A token is a maximal run of characters of the lowercased text for
-    which ``str.isalnum`` is true; the regular expression agrees with
-    ``str.isalnum`` on every code point. Empty tokens are dropped and
+    which ``str.isalnum`` is true. The text is split on whitespace first:
+    a chunk that is all alphanumeric is one token as it is, and the
+    regular expression, which agrees with ``str.isalnum`` on every code
+    point, splits each other chunk. No code point is both ``isspace`` and
+    ``isalnum``, so no token spans a split. Empty tokens are dropped and
     order is preserved. The empty string yields an empty list.
     """
-    return _TOKEN.findall(text.lower())
+    tokens: list[str] = []
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN.findall(chunk)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -227,16 +236,20 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     tokenized with :func:`tokenize` and postings record every occurrence
     position as one ``int`` mask per (token, document), bit ``p`` set for
     each position ``p``. Tokens keep their order of first occurrence and
-    documents their corpus order. A mask has as many bits as its token's
-    last position: a document costs about (distinct tokens x length / 2)
-    bits, against about 36 bytes a token as position tuples.
+    documents their corpus order. The documents' tokens and the postings'
+    keys share one ``str`` per distinct token, so a document's tuple costs
+    one pointer a token. A mask has as many bits as its token's last
+    position: a document costs about (distinct tokens x length / 2) bits,
+    against about 36 bytes a token as position tuples.
     """
     documents: dict[str, tuple[str, ...]] = {}
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
+    words: dict[str, str] = {}  # each token's first ``str``; not ``sys.intern``, whose strings may never be freed
     for doc_id, text in corpus:
         if doc_id in documents:
             raise ValueError(f"duplicate document id: {doc_id!r}")
-        tokens = documents[doc_id] = tuple(tokenize(text))
+        found = tokenize(text)
+        tokens = documents[doc_id] = tuple(map(words.setdefault, found, found))
         for tok, mask in _position_masks(tokens).items():
             postings[tok][doc_id] = mask
     return Index(documents=documents, postings=dict(postings))

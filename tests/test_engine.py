@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import random
+import string
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from termspace import engine
 from termspace import (
     BiasConfig,
     EventSet,
+    Index,
     Term,
     build_index,
     doubleton,
@@ -45,6 +47,16 @@ DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
 CORPORA = st.lists(DOC_TEXTS, min_size=1, max_size=10).map(
     lambda texts: [(f"d{i:03d}", t) for i, t in enumerate(texts)]
 )
+# Every code point for which ``str.isspace`` holds, in order.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+# ``tokenize`` splits the lowercased text on whitespace before it reads tokens: these texts mix every
+# whitespace character with ones that split a chunk (``_``, ``-``, ``.``, a combining accent), one that
+# lowercases to two characters, a lowercase letter with no one-letter uppercase and a digit that is not decimal.
+SPLIT_TEXTS = st.text(alphabet=WHITESPACE + "_-.\u0301İß²" + string.ascii_letters + string.digits, max_size=80)
 
 
 class TestTokenize:
@@ -86,6 +98,17 @@ class TestTokenize:
     @settings(max_examples=300)
     def test_agrees_with_character_loop(self, text):
         assert tokenize(text) == loop_tokenize(text)
+
+    @given(SPLIT_TEXTS)
+    @settings(max_examples=300)
+    def test_whitespace_and_splitting_characters_agree_with_both_references(self, text):
+        assert tokenize(text) == loop_tokenize(text) == scan_tokenize(text)
+
+    def test_no_code_point_is_both_whitespace_and_alphanumeric(self):
+        # ``tokenize`` keeps each whitespace-separated chunk that ``isalnum`` whole.
+        spaces = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+        assert "".join(spaces) == WHITESPACE
+        assert [ch for ch in spaces if ch.isalnum()] == []
 
 
 class TestTerm:
@@ -232,6 +255,26 @@ class TestIndexOracle:
         assert {d: mask_positions(m) for d, m in index.postings["crêpes"].items()} == {"d1": (2,), "d2": (0,)}
         assert list(index.postings) == ["émile", "ate", "crêpes", "à", "paris"]
         self.assert_matches_oracle(corpus)
+
+    def test_equal_tokens_share_the_string_that_keys_their_postings(self):
+        rng = random.Random(53)
+        from conftest import random_corpus
+
+        alphabet = ("w0", "W0", "café", "x-y", "日本", "42", "a_b")
+        for _ in range(20):
+            corpus = random_corpus(rng, alphabet=alphabet)
+            index = build_index(corpus)
+            keys = {tok: tok for tok in index.postings}
+            for tokens in index.documents.values():
+                assert all(tok is keys[tok] for tok in tokens)
+            # Tokens in order of first occurrence, each token's documents in corpus order.
+            self.assert_matches_oracle(corpus)
+            # An index of the oracle's strings, one object an occurrence, compares equal.
+            documents, postings = brute_index(corpus)
+            assert index == Index(
+                documents={doc_id: tuple(tokens) for doc_id, tokens in documents},
+                postings={tok: {d: sum(1 << p for p in where) for d, where in docs} for tok, docs in postings},
+            )
 
 
 @pytest.fixture(params=[True, False], ids=["collector_enabled", "collector_disabled"])
