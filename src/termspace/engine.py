@@ -43,20 +43,11 @@ def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on runs of non-alphanumeric characters.
 
     A token is a maximal run of characters of the lowercased text for
-    which ``str.isalnum`` is true. The text is split on whitespace first:
-    a chunk that is all alphanumeric is one token as it is, and the
-    regular expression, which agrees with ``str.isalnum`` on every code
-    point, splits each other chunk. No code point is both ``isspace`` and
-    ``isalnum``, so no token spans a split. Empty tokens are dropped and
+    which ``str.isalnum`` is true; the regular expression agrees with
+    ``str.isalnum`` on every code point. Empty tokens are dropped and
     order is preserved. The empty string yields an empty list.
     """
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        if chunk.isalnum():
-            tokens.append(chunk)
-        else:
-            tokens += _TOKEN.findall(chunk)
-    return tokens
+    return _TOKEN.findall(text.lower())
 
 
 @dataclass(frozen=True)

@@ -47,16 +47,12 @@ DOC_TEXTS = st.lists(WORDS, max_size=30).map(" ".join)
 CORPORA = st.lists(DOC_TEXTS, min_size=1, max_size=10).map(
     lambda texts: [(f"d{i:03d}", t) for i, t in enumerate(texts)]
 )
-# Every code point for which ``str.isspace`` holds, in order.
-WHITESPACE = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
-    + "".join(map(chr, range(0x2000, 0x200B)))
-    + "\u2028\u2029\u202f\u205f\u3000"
-)
-# ``tokenize`` splits the lowercased text on whitespace before it reads tokens: these texts mix every
-# whitespace character with ones that split a chunk (``_``, ``-``, ``.``, a combining accent), one that
-# lowercases to two characters, a lowercase letter with no one-letter uppercase and a digit that is not decimal.
+# Texts that mix every whitespace character with ones that split a run (``_``, ``-``, ``.``, a combining
+# accent), one that lowercases to two characters, a lowercase letter with no one-letter uppercase and a
+# digit that is not decimal.
+WHITESPACE = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
 SPLIT_TEXTS = st.text(alphabet=WHITESPACE + "_-.\u0301İß²" + string.ascii_letters + string.digits, max_size=80)
+TEXTS = st.one_of(st.text(max_size=200), SPLIT_TEXTS)
 
 
 class TestTokenize:
@@ -79,7 +75,7 @@ class TestTokenize:
         assert tokenize(text) == expected
         assert scan_tokenize(text) == expected
 
-    @given(st.text(max_size=200))
+    @given(TEXTS)
     @settings(max_examples=200)
     def test_agrees_with_reference_scan(self, text):
         assert tokenize(text) == scan_tokenize(text)
@@ -94,21 +90,10 @@ class TestTokenize:
         mismatched = [cp for cp in range(0x110000) if tokenize(chr(cp)) != loop_tokenize(chr(cp))]
         assert mismatched == []
 
-    @given(st.text(max_size=200))
+    @given(TEXTS)
     @settings(max_examples=300)
     def test_agrees_with_character_loop(self, text):
         assert tokenize(text) == loop_tokenize(text)
-
-    @given(SPLIT_TEXTS)
-    @settings(max_examples=300)
-    def test_whitespace_and_splitting_characters_agree_with_both_references(self, text):
-        assert tokenize(text) == loop_tokenize(text) == scan_tokenize(text)
-
-    def test_no_code_point_is_both_whitespace_and_alphanumeric(self):
-        # ``tokenize`` keeps each whitespace-separated chunk that ``isalnum`` whole.
-        spaces = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
-        assert "".join(spaces) == WHITESPACE
-        assert [ch for ch in spaces if ch.isalnum()] == []
 
 
 class TestTerm:
