@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from math import copysign, inf, nan
 from operator import add, itemgetter
 
@@ -144,10 +144,10 @@ class MicroCluster:
 class TreeCluster:
     """Acyclic strongest-relation subgraph spanning a micro-cluster.
 
-    Edges are stored in the order they were kept (weight descending). One
-    built by :func:`optimal_micro_cluster` is a single tree, since a
-    ``WordGraph`` is complete, so its ``component_count`` is 1; a hand-built
-    one may have more components, and :func:`verify_theorem` then returns False.
+    Edges are stored in the order they were kept (weight descending).
+    ``component_count`` counts the components the edges leave on the
+    vertices and every endpoint: 1 for a tree :func:`optimal_micro_cluster`
+    builds, as a ``WordGraph`` is complete; a hand-built tree may have more.
     """
 
     vertices: tuple[str, ...]
@@ -156,7 +156,8 @@ class TreeCluster:
 
     @property
     def component_count(self) -> int:
-        return len(self.vertices) - len(self.edges)
+        nodes = {*self.vertices, *(v for a, b, _ in self.edges for v in (a, b))}
+        return len(nodes) - len(_forest(nodes, self.edges))
 
 
 @dataclass(frozen=True)
@@ -327,24 +328,19 @@ def mirror_shade(words: Sequence[str], index: Index) -> MirrorShade:
 def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
     """Check that a tree spans its words and its shade restricts its cluster's shade.
 
-    The tree spans its words when they are its vertices, joined by
-    ``len(vertices) - 1`` edges without a cycle. Each tree word's raw count
-    is compared with its entry in the full cluster's shade; normalized
-    values are not, since each shade renormalizes by its own maximum. True
-    for every tree :func:`optimal_micro_cluster` builds from ``full`` or
-    from a cluster of a subset of its words. A tree word missing from the
-    cluster, or a duplicated one, raises ``ValueError``.
+    The tree spans its words when they are its vertices, distinct and
+    joined by ``len(vertices) - 1`` edges into one component. Each tree
+    word's raw count is compared with its entry in the full cluster's
+    shade; normalized values are not, since each shade renormalizes by its
+    own maximum. True for every tree :func:`optimal_micro_cluster` builds
+    from ``full`` or from a cluster of a subset of its words. A tree word
+    missing from the cluster, or a duplicated one, raises ``ValueError``.
     """
-    if not set(tree.words) <= set(full.words):
-        missing = sorted(set(tree.words) - set(full.words))
+    if missing := sorted(set(tree.words).difference(full.words)):
         raise ValueError(f"tree words not in the cluster: {missing}")
     vertices = set(tree.vertices)
-    if (
-        set(tree.words) != vertices
-        or len(tree.edges) != len(tree.vertices) - 1
-        or not all(a in vertices and b in vertices for a, b, _ in tree.edges)
-        or len(_forest(vertices, tree.edges)) != len(tree.edges)
-    ):
+    sized = len(tree.edges) + 1 == len(vertices) == len(tree.vertices)  # distinct vertices, one edge fewer
+    if set(tree.words) != vertices or not sized or tree.component_count != 1:  # a cycle or stray endpoint makes it 2+
         return False
     full_raw = {e.word: e.raw for e in mirror_shade(full.words, index).entries}
     return all(e.raw == full_raw[e.word] for e in mirror_shade(tree.words, index).entries)
@@ -361,18 +357,22 @@ def graph_to_dot(graph: WordGraph) -> str:
     distinct = list(set(codes))
     labels = dict(zip(distinct, [f'{x:.6f}"];\n' for x in table.floats(distinct)]))
     tails = [f'"{v}" [label="' for v in vertices]
-    parts = ["graph {\n", *(f'  "{v}";\n' for v in vertices)]
-    in_order = map(labels.__getitem__, codes)
+    rows, in_order = [], map(labels.__getitem__, codes)
     for i, a in enumerate(vertices[:-1]):  # row i holds the pairs (a, b) for the n - 1 - i words b after a
         head = f'  "{a}" -- '
-        parts.append(head + head.join(map(str.__add__, tails[i + 1 :], islice(in_order, len(tails) - 1 - i))))
-    return "".join(parts) + "}\n"
+        rows.append(head + head.join(map(str.__add__, tails[i + 1 :], islice(in_order, len(tails) - 1 - i))))
+    return _dot(vertices, rows)
 
 
 def tree_to_dot(tree: TreeCluster) -> str:
-    lines = ["graph {", *(f'  "{v}";' for v in tree.vertices)]
-    lines += [f'  "{a}" -- "{b}" [label="{float(w):.6f}"];' for a, b, w in sorted(tree.edges, key=itemgetter(0, 1))]
-    return "\n".join(lines) + "\n}\n"
+    lines = [f'  "{a}" -- "{b}" [label="{float(w):.6f}"];\n' for a, b, w in sorted(tree.edges, key=itemgetter(0, 1))]
+    return _dot(tree.vertices, lines, (v for a, b, _ in tree.edges for v in (a, b)))
+
+
+def _dot(vertices: Sequence[str], edge_lines: Iterable[str], endpoints: Iterable[str] = ()) -> str:
+    if bad := [v for v in map(str, chain(vertices, endpoints)) if '"' in v or "\\" in v]:  # they end or escape a quote
+        raise ValueError(f"DOT cannot quote the name {bad[0]!r}: it holds '\"' or '\\'")
+    return "".join(["graph {\n", *(f'  "{v}";\n' for v in vertices), *edge_lines, "}\n"])
 
 
 def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:

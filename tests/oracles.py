@@ -12,7 +12,7 @@ import heapq
 import itertools
 import json
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 
 
@@ -222,6 +222,28 @@ def has_cycle(vertices, edge_pairs):
                 seen.add(nbr)
                 stack.append((nbr, node))
     return False
+
+
+def count_components(vertices, edge_pairs):
+    """Connected components of the vertices and every edge endpoint, by breadth-first search."""
+    adjacency = defaultdict(set)
+    for a, b in edge_pairs:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = set()
+    count = 0
+    for start in [*vertices, *adjacency]:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for nbr in adjacency[queue.popleft()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    queue.append(nbr)
+    return count
 
 
 def dot_text(vertices, edges):

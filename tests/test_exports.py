@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import re
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import termspace
 from termspace import (
@@ -120,3 +123,19 @@ def test_export_list_is_every_public_name_of_the_package():
     star: dict = {}
     exec("from termspace import *", star)  # raises for a listed name the package does not bind
     assert set(star) - {"__builtins__"} == public
+
+
+def test_readme_library_quickstart_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace: dict = {}
+    checked = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        statement = ast.parse(code).body
+        if statement and isinstance(statement[0], ast.Expr):  # a value the comment states
+            checked.append(comment.split(";")[0].strip())
+            assert repr(eval(code, namespace)) == checked[-1], line
+        else:
+            exec(code, namespace)
+    assert checked == ["2", "frozenset({'D1'})", "Fraction(1, 3)", "True"]

@@ -40,6 +40,7 @@ from conftest import random_corpus, random_present_term
 from oracles import (
     brute_jaccard,
     brute_singleton,
+    count_components,
     dot_text,
     has_cycle,
     kruskal_edges,
@@ -580,6 +581,133 @@ class TestVerifyTheorem:
             checked += 1
 
 
+def hand_built_trees(rng, words, weight):
+    """Random hand-built trees over ``words`` and the stray word ``zebra``.
+
+    Each starts as a tree on a random subset of the words, none for the
+    empty tree, and may then lose edges (a forest), gain edges (a cycle, a
+    repeated edge or a loop), trade an edge for another (a cycle beside an
+    isolated vertex), move an endpoint to ``zebra``, repeat a vertex, or
+    have its words dropped, repeated or joined by ``zebra``.
+    """
+    while True:
+        vertices = rng.sample(words, rng.randint(0, len(words)))
+        pairs = [(v, rng.choice(vertices[:i])) for i, v in enumerate(vertices) if i]
+        nodes = vertices + ["zebra"] * (rng.random() < 0.2)
+        if pairs and rng.random() < 0.3:
+            start = rng.randrange(len(pairs))
+            del pairs[start : start + rng.randint(1, 2)]
+        if vertices and rng.random() < 0.4:
+            pairs += [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(1, 2))]
+        if pairs and rng.random() < 0.2:
+            pairs[rng.randrange(len(pairs))] = (rng.choice(nodes), rng.choice(nodes))
+        if pairs and rng.random() < 0.2:
+            pairs.append(rng.choice(pairs))
+        if pairs and rng.random() < 0.15:
+            a, _ = pairs.pop(rng.randrange(len(pairs)))
+            pairs.append((a, "zebra"))
+        tree_words = list(vertices)
+        if vertices and rng.random() < 0.2:
+            vertices.append(rng.choice(vertices))
+        if tree_words and rng.random() < 0.1:
+            tree_words.pop(rng.randrange(len(tree_words)))
+        if tree_words and rng.random() < 0.1:
+            tree_words.append(rng.choice(tree_words))
+        if rng.random() < 0.05:
+            tree_words.append("zebra")
+        rng.shuffle(tree_words)
+        edges = tuple((a, b, weight(a, b)) for a, b in pairs)
+        yield TreeCluster(vertices=tuple(vertices), edges=edges, words=tuple(tree_words))
+
+
+def four_part_verdict(tree, cluster_words):
+    """``verify_theorem``'s verdict by the four-part rule, cycles found by ``has_cycle``.
+
+    The tree spans its words when they are its vertices, its edges number
+    ``len(vertices) - 1``, every endpoint is a vertex and no edge closes a
+    cycle. Past that only an error can make it False: a tree word's raw
+    count and its entry in the cluster's shade are the same word's count
+    in the same index.
+    """
+    missing = sorted(set(tree.words) - set(cluster_words))
+    if missing:
+        raise ValueError(f"tree words not in the cluster: {missing}")
+    vertices = set(tree.vertices)
+    pairs = [(a, b) for a, b, _ in tree.edges]
+    if (
+        set(tree.words) != vertices
+        or len(pairs) != len(tree.vertices) - 1
+        or not all(a in vertices and b in vertices for a, b in pairs)
+        or has_cycle(vertices, pairs)
+    ):
+        return False
+    if len(set(tree.words)) != len(tree.words):
+        raise ValueError("mirror_shade words must be unique")
+    return True
+
+
+def outcome(check, *args):
+    try:
+        return True, check(*args)
+    except ValueError as exc:
+        return False, str(exc)
+
+
+class TestHandBuiltTrees:
+    """``component_count`` and ``verify_theorem`` on hand-built trees that may be no tree at all."""
+
+    def trees(self, count):
+        corpus = [("D1", "p q r s"), ("D2", "q r"), ("D3", "q s")]
+        index = build_index(corpus)
+        ctx = build_context(extract_snippets(index, "q", window=3), index)
+        mc = micro_cluster(build_word_graph(ctx, index), ctx, 0)
+        assert sorted(mc.words) == ["p", "q", "r", "s"]
+
+        def weight(a, b):
+            return mc.graph.weight(a, b) if a != b and {a, b} <= set(mc.words) else Fraction(1)
+
+        fixed = [  # a cycle beside an isolated vertex, 5 edges on 4 vertices, a repeated vertex, the empty tree
+            (("p", "q", "r", "s"), [("q", "r"), ("q", "s"), ("r", "s")], ("q", "r", "s", "p")),
+            (("p", "q", "r", "s"), [("p", "q"), ("q", "r"), ("r", "s"), ("s", "p"), ("p", "r")], ("p", "q", "r", "s")),
+            (("p", "p", "q"), [("p", "q"), ("q", "p")], ("p", "q")),
+            ((), [], ()),
+        ]
+        trees = [TreeCluster(v, tuple((a, b, weight(a, b)) for a, b in e), w) for v, e, w in fixed]
+        generated = hand_built_trees(random.Random(131), list(mc.words), weight)
+        trees += [next(generated) for _ in range(count)]
+        return index, mc, trees
+
+    def test_component_count_equals_a_breadth_first_count(self):
+        _, _, trees = self.trees(3000)
+        assert [t.component_count for t in trees[:4]] == [2, 1, 1, 0]
+        kinds = dict.fromkeys(["forest", "cycle", "repeated edge", "zebra", "repeated vertex", "empty"], 0)
+        for tree in trees:
+            pairs = [(a, b) for a, b, _ in tree.edges]
+            count = count_components(tree.vertices, pairs)
+            assert tree.component_count == count, tree
+            cyclic = has_cycle({*tree.vertices, *(v for pair in pairs for v in pair)}, pairs)
+            kinds["forest"] += count > 1 and not cyclic
+            kinds["cycle"] += cyclic
+            kinds["repeated edge"] += len({frozenset(pair) for pair in pairs}) < len(pairs)
+            kinds["zebra"] += any("zebra" in pair for pair in pairs)
+            kinds["repeated vertex"] += len(set(tree.vertices)) < len(tree.vertices)
+            kinds["empty"] += not tree.vertices and not tree.edges
+        assert min(kinds.values()) >= 1 and kinds["empty"] >= 2, kinds
+
+    def test_verify_theorem_gives_the_four_part_verdict(self):
+        index, mc, trees = self.trees(3000)
+        verdicts = {}
+        for tree in trees:
+            expected = outcome(four_part_verdict, tree, mc.words)
+            assert outcome(verify_theorem, tree, mc, index) == expected, tree
+            verdicts[expected] = verdicts.get(expected, 0) + 1
+        # The repeated-vertex tree: 2 edges join its 2 distinct vertices into one component.
+        assert outcome(verify_theorem, trees[2], mc, index) == (True, False)
+        assert verdicts[(True, True)] >= 100 and verdicts[(True, False)] >= 100, verdicts
+        errors = {message for ok, message in verdicts if not ok}
+        assert errors == {"tree words not in the cluster: ['zebra']", "mirror_shade words must be unique"}
+
+
 def built_graphs(seed, count):
     """Relation graphs of random corpora, both measures, as the pipeline builds them."""
     rng = random.Random(seed)
@@ -725,6 +853,23 @@ class TestEdgeOrderAndDot:
             assert graph_to_dot(graph) == dot_text(sorted(vertices), [(a, b, w) for (a, b), w in edges])
             tree = optimal_micro_cluster(MicroCluster(graph=graph, words=vertices, alpha=Fraction(0)))
             assert tree_to_dot(tree) == dot_text(tree.vertices, tree.edges)
+
+    @pytest.mark.parametrize("name", ['a"b', "a\\", '\\"', '"'])
+    def test_a_name_dot_cannot_quote_is_rejected_by_name(self, name):
+        message = re.escape(repr(name))
+        with pytest.raises(ValueError, match=message):
+            graph_to_dot(WordGraph(vertices=("a", name), weights={tuple(sorted(("a", name))): 1}))
+        with pytest.raises(ValueError, match=message):
+            tree_to_dot(TreeCluster(vertices=(name,), edges=(), words=(name,)))
+        with pytest.raises(ValueError, match=message):  # an edge endpoint that is no vertex
+            tree_to_dot(TreeCluster(vertices=("a", "b"), edges=(("a", name, Fraction(1)),), words=("a", "b")))
+
+    def test_other_punctuation_renders_as_reference_dot(self):
+        vertices = ("a b", "a'b", "a-b", "{x}", "é", "a;b", "a/b")
+        graph = WordGraph(vertices=vertices, weights={pair: 1 for pair in combinations(sorted(vertices), 2)})
+        assert graph_to_dot(graph) == dot_text(graph.vertices, graph.edges())
+        tree = optimal_micro_cluster(MicroCluster(graph=graph, words=vertices, alpha=Fraction(0)))
+        assert tree_to_dot(tree) == dot_text(tree.vertices, tree.edges)
 
     def test_induced_graph_holds_the_parent_weight_objects(self):
         for ctx, graph in built_graphs(89, 15):
