@@ -22,6 +22,7 @@ from .engine import (
     BiasConfig,
     Index,
     Term,
+    _read_text,
     build_index,
     doubleton,
     hit_count,
@@ -72,9 +73,9 @@ class Run:
     """One command's settings and term, and its stages, each built the first time it is read.
 
     Each setting is declared once with its CLI default, config key and
-    flag; ``alpha`` and ``bias_magnitude`` are parsed here. A command
-    builds only the stages its output reads, each once; a stage calls its
-    builder by its name in this module, where a test or tracer may patch it.
+    flag; ``alpha`` is parsed here, and the bias checked by :class:`BiasConfig`.
+    A command builds only the stages its output reads, each once; a stage calls
+    its builder by its name in this module, where a test or tracer may patch it.
     """
 
     corpus: str = _setting("corpus", "corpus path: a directory of .txt files or a .jsonl file")
@@ -93,10 +94,6 @@ class Run:
 
     def __post_init__(self) -> None:
         self.alpha = _threshold(self.alpha)
-        try:
-            self.bias_magnitude = float(self.bias_magnitude)
-        except (ArithmeticError, ValueError):
-            raise ValueError(f"bias_magnitude must be a finite number, got {self.bias_magnitude!r}") from None
         self.bias = BiasConfig(self.bias_mode, self.bias_magnitude, self.seed)
         # Checked here as well, before the corpus is read, so the message names the config key and flag.
         if self.term is not None and self.per_doc_limit < 1:
@@ -140,9 +137,10 @@ _CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["types"]) for f in _SETTI
 
 def _read_config(path: str) -> dict[str, object]:
     """The config file's values by parsed-argument attribute; JSON null means unset."""
+    text = _read_text(Path(path), "config file")
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or bytes that are not UTF-8
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON
         raise ValueError(f"{path}: invalid JSON config: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a JSON object")
@@ -179,11 +177,7 @@ def resolve_config(args: argparse.Namespace) -> Run:
 
 
 def _load_stopwords(path: str) -> frozenset[str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: stopwords file is not UTF-8 ({exc.reason} at byte {exc.start})") from None
-    return frozenset(word for line in text.splitlines() for word in tokenize(line))
+    return frozenset(tokenize(_read_text(Path(path), "stopwords file")))
 
 
 def _write(text: str, out: str | Path | None = None) -> None:

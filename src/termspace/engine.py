@@ -348,17 +348,20 @@ def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
     return max(0.0, noisy)
 
 
-def _read_text(path: Path) -> str:
-    """A corpus file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` as text mode reads them.
+def _read_text(path: Path, kind: str) -> str:
+    """An input file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` as text mode reads them.
 
-    A file that is not UTF-8 is rejected by name and by the line of its first bad byte.
+    ``kind`` names the file: a missing one is rejected by name, one not UTF-8 by name and its first bad byte's line.
     """
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise ValueError(f"{kind} not found: {path}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{lineno}: corpus file is not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        raise ValueError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason} at byte {exc.start})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -372,7 +375,7 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
     p = Path(path)
     if not p.is_dir():
         raise ValueError(f"corpus directory not found: {p}")
-    return [(f.stem, _read_text(f)) for f in sorted(p.glob("*.txt"))]
+    return [(f.stem, _read_text(f, "corpus file")) for f in sorted(p.glob("*.txt"))]
 
 
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
@@ -383,11 +386,9 @@ def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:
     number, and a repeated id with its line and the line of its first use.
     """
     p = Path(path)
-    if not p.is_file():
-        raise ValueError(f"corpus file not found: {p}")
     docs: dict[str, tuple[int, str]] = {}  # id -> (line, text)
     # Not ``splitlines``: it also splits at U+2028, U+0085 and more, which a JSON string may hold raw.
-    for lineno, line in enumerate(_read_text(p).split("\n"), start=1):
+    for lineno, line in enumerate(_read_text(p, "corpus file").split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -154,6 +154,10 @@ class TreeCluster:
     edges: tuple[Edge, ...]
     words: tuple[str, ...]
 
+    def __post_init__(self) -> None:  # every reader unpacks an edge as ``a, b, w``
+        if bad := [e for e in self.edges if not (isinstance(e, tuple) and len(e) == 3)]:
+            raise ValueError(f"tree edges must be (a, b, weight) triples, got {bad[0]!r}")
+
     @property
     def component_count(self) -> int:
         nodes = {*self.vertices, *(v for a, b, _ in self.edges for v in (a, b))}

@@ -144,6 +144,11 @@ def weight_of_word(word, word_lists):
     return sum(list(ws).count(word) / (2 * len(ws)) for ws in word_lists)
 
 
+def exact_weight_of_word(word, word_lists):
+    """:func:`weight_of_word` in exact ``Fraction``s: the word's count over twice each list's length, summed."""
+    return sum((Fraction(list(ws).count(word), 2 * len(ws)) for ws in word_lists), Fraction(0))
+
+
 def brute_context(corpus, term_tokens, window, per_doc_limit, stopwords=()):
     """Recompute a context from raw text: word -> (weight, document count)."""
     word_lists = [ws for _, ws in window_snippets(corpus, term_tokens, window, per_doc_limit)]

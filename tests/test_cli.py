@@ -8,6 +8,8 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,7 +17,17 @@ from termspace import cli
 from termspace.cli import _CONFIG_KEYS, build_parser, main, resolve_config
 from termspace.microcluster import optimal_micro_cluster
 
-from oracles import brute_context, brute_singleton, window_snippets
+from conftest import random_corpus, random_present_term
+from oracles import (
+    brute_context,
+    brute_doubleton,
+    brute_jaccard,
+    brute_singleton,
+    dot_text,
+    exact_weight_of_word,
+    kruskal_edges,
+    window_snippets,
+)
 
 FIXTURE = {
     "d0": "rock anthem with a loud rock chorus",
@@ -126,10 +138,11 @@ class TestIndexCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {path}:4: duplicate document id 'd1' (first on line 1)\n"
 
-    def test_missing_jsonl_file_is_one_error_line_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, kind", [("--corpus", "corpus file"), ("--config", "config file")])
+    def test_missing_jsonl_file_is_one_error_line_naming_it(self, tmp_path, capsys, flag, kind):
         path = tmp_path / "absent.jsonl"
-        code, out, err = run_cli(capsys, ["index", "--corpus", str(path), "--format", "jsonl"])
-        assert (code, out, err) == (1, "", f"error: corpus file not found: {path}\n")
+        code, out, err = run_cli(capsys, ["index", flag, str(path), "--format", "jsonl"])
+        assert (code, out, err) == (1, "", f"error: {kind} not found: {path}\n")
 
     def test_error_naming_a_path_with_a_newline_is_one_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
@@ -312,18 +325,19 @@ class TestConfigFile:
         assert err == f"error: {config}: config must be a JSON object\n"
 
     @pytest.mark.parametrize(
-        "data, reason",
+        "data, message",
         [
-            (b'{"corpus": ', "Expecting value: line 1 column 12 (char 11)"),
-            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b'{"corpus": ', ": invalid JSON config: Expecting value: line 1 column 12 (char 11)"),
+            (b"\xff", ":1: config file is not UTF-8 (invalid start byte at byte 0)"),
+            (b'{\n"corpus":\n"\xff"}', ":3: config file is not UTF-8 (invalid start byte at byte 13)"),
         ],
     )
-    def test_invalid_json_config_is_one_error_line_naming_it(self, tmp_path, capsys, data, reason):
+    def test_invalid_json_config_is_one_error_line_naming_it(self, tmp_path, capsys, data, message):
         config = tmp_path / "bad.json"
         config.write_bytes(data)
         code, out, err = run_cli(capsys, ["index", "--config", str(config)])
         assert (code, out) == (1, "")
-        assert err == f"error: {config}: invalid JSON config: {reason}\n"
+        assert err == f"error: {config}{message}\n"
 
     def test_too_deeply_nested_config_is_one_error_line_naming_it(self, tmp_path, capsys):
         config = tmp_path / "deep.json"
@@ -550,17 +564,26 @@ class TestAlpha:
 class TestStopwordsFile:
     @pytest.mark.parametrize("command", ["context", "cluster", "shade", "pipeline"])
     @pytest.mark.parametrize("term", ["rock", "unseen"])
-    def test_undecodable_file_is_one_error_line_naming_it(self, tmp_path, capsys, command, term):
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe", "{path}:1: stopwords file is not UTF-8 (invalid start byte at byte 0)"),
+            (b"rock\r\non\n\xff", "{path}:3: stopwords file is not UTF-8 (invalid start byte at byte 9)"),
+            (None, "stopwords file not found: {path}"),  # not written
+        ],
+    )
+    def test_undecodable_file_is_one_error_line_naming_it(self, tmp_path, capsys, command, term, data, message):
         corpus = write_corpus(tmp_path, FIXTURE)
         stopwords = tmp_path / "stopwords.txt"
-        stopwords.write_bytes(b"\xff\xfe")
+        if data is not None:
+            stopwords.write_bytes(data)
         out_dir = tmp_path / "bundle"
         code, out, err = run_cli(
             capsys,
             [command, "--corpus", str(corpus), "--stopwords", str(stopwords), "--out", str(out_dir), term],
         )
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {stopwords}: ") and err.count("\n") == 1
+        assert err == f"error: {message.format(path=stopwords)}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["context", "pipeline"])
@@ -628,13 +651,21 @@ class TestBiasMagnitude:
         assert out == ""
         assert err == "error: bias magnitude must be finite, got nan\n"
 
-    def test_magnitude_beyond_float_range_in_config_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ([], "bias magnitude must be finite, got a number beyond float range"),  # the config's 10**400
+            (["--bias-magnitude=nan"], "bias magnitude must be finite, got nan"),
+            (["--bias-magnitude=inf"], "bias magnitude must be finite, got inf"),
+            (["--bias-magnitude=-1"], "bias magnitude must be non-negative"),
+        ],
+    )
+    def test_magnitude_beyond_float_range_in_config_rejected(self, tmp_path, capsys, flags, message):
         corpus = write_corpus(tmp_path, FIXTURE)
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"corpus": str(corpus), "bias_magnitude": 10**400}), encoding="utf-8")
-        code, out, err = run_cli(capsys, ["query", "--config", str(config), "rock"])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: bias_magnitude must be a finite number, got 1000") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, ["query", "--config", str(config), *flags, "rock"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_overflowing_multiplicative_count_is_one_error_line(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, {f"d{i:02d}": "harbor pier" for i in range(40)})
@@ -710,6 +741,42 @@ class TestPipelineCommand:
         assert report["stages"]["tree"]["edges"] == (
             report["stages"]["tree"]["vertices"] - report["stages"]["tree"]["components"]
         )
+
+    def test_graph_and_tree_dot_match_the_oracles_on_random_corpora(self, tmp_path):
+        """``graph.dot`` and ``tree.dot`` rebuilt from the oracles alone: brute weights, the ``nu`` filter, Kruskal."""
+        rng = random.Random(2525)
+        pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "zürich", "x2", "über")
+        path = tmp_path / "corpus.jsonl"
+        written = dict.fromkeys(["graph.dot", "tree.dot"], 0)
+        for _ in range(400):
+            vocab = rng.sample(pool, rng.randint(3, 12))
+            corpus = random_corpus(rng, max_docs=8, max_tokens=12, alphabet=vocab)
+            term = random_present_term(rng, corpus) or rng.sample(vocab, rng.randint(1, 2))
+            window, limit, measure = rng.randint(1, 4), rng.randint(1, 3), rng.choice(["doubleton_count", "jaccard"])
+            alpha = Fraction(rng.randint(0, 3), rng.randint(1, 12))
+            path.write_text("".join(json.dumps({"id": d, "text": t}) + "\n" for d, t in corpus), encoding="utf-8")
+            run = cli.Run(corpus=str(path), corpus_format="jsonl", window=window, per_doc_limit=limit,
+                          alpha=f"{alpha.numerator}/{alpha.denominator}", measure=measure, term=" ".join(term))
+            artifacts = cli.run_pipeline(run)
+
+            word_lists = [words for _, words in window_snippets(corpus, term, window, limit)]
+            words = sorted({w for ws in word_lists for w in ws})
+            if measure == "jaccard":
+                weights = {(a, b): brute_jaccard(corpus, a, b) for a, b in combinations(words, 2)}
+            else:
+                weights = {(a, b): Fraction(len(brute_doubleton(corpus, [a], [b]))) for a, b in combinations(words, 2)}
+            retained = [w for w in words if exact_weight_of_word(w, word_lists) >= alpha]
+            tree = kruskal_edges(retained, {pair: w for pair, w in weights.items() if set(pair) <= set(retained)})
+            expected = {}  # each file is written only when it has a vertex
+            if words:
+                expected["graph.dot"] = dot_text(words, [(a, b, w) for (a, b), w in weights.items()])
+            if retained:
+                expected["tree.dot"] = dot_text(retained, tree)
+            got = {name: artifacts[name] for name in written if name in artifacts}
+            assert got == expected, (corpus, term, window, limit, measure, alpha)
+            for name in expected:
+                written[name] += 1
+        assert min(written.values()) >= 250, written
 
     def test_tree_edges_are_graph_edges(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)

@@ -557,6 +557,13 @@ class TestVerifyTheorem:
         stray = TreeCluster(vertices=tree.vertices, edges=tree.edges[:-1] + ((a, "zebra", w),), words=tree.words)
         assert verify_theorem(stray, mc, index) is False
 
+    @pytest.mark.parametrize("edge", [("p", "q"), ("p", "q", Fraction(1), 0), ["p", "q", Fraction(1)], "pq1", None])
+    def test_edge_that_is_not_a_triple_is_rejected_by_name(self, edge):
+        _, _, tree = self.spanning_tree()
+        assert TreeCluster(tree.vertices, tree.edges, tree.words).edges is tree.edges  # a valid tree is kept as given
+        with pytest.raises(ValueError, match=re.escape(f"tree edges must be (a, b, weight) triples, got {edge!r}")):
+            TreeCluster(vertices=tree.vertices, edges=tree.edges[:1] + (edge,) + tree.edges[1:], words=tree.words)
+
     def test_random_campaign(self):
         rng = random.Random(67)
         checked = 0
