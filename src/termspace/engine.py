@@ -33,6 +33,7 @@ BIAS_MODES = ("none", "additive", "multiplicative")
 _TOKEN = re.compile(r"[^\W_]+")
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ``bin`` digits as selectors for ``compress``
 _OR_IN_PLACE = 1 << 14  # document length past which byte rows build masks faster than ORs (English text)
+_SHARED_BITS = tuple(1 << p for p in range(1024))  # one-position masks, 105 KB: n of them hold n**2 / 16 bytes of bits
 
 
 def _select(items: Sequence, bits: int) -> Iterator:  # items[i] for each set bit i of bits, lowest first
@@ -111,10 +112,10 @@ class Index:
     ``documents`` maps each document id to its tokens (maybe none), and
     ``postings`` each token to the documents containing it, each with an
     ``int`` mask of its positions there, bit ``p`` for position ``p``
-    (:func:`build_index` gives its size). The sorted ``table`` of ids and
-    each token's :meth:`bitset` over it, a word's or a phrase token's alike,
-    are made when first read and kept; every fill stores the same value, so
-    an index is safe to share across threads.
+    (:func:`build_index` gives its size, and the masks that share one ``int``).
+    The sorted ``table`` of ids and each token's :meth:`bitset` over it are
+    made when first read and kept; every fill stores the same value and no
+    mask changes once made, so an index is safe to share across threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
@@ -229,9 +230,9 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     each position ``p``. Tokens keep their order of first occurrence and
     documents their corpus order. The documents' tokens and the postings'
     keys share one ``str`` per distinct token, so a document's tuple costs
-    one pointer a token. A mask has as many bits as its token's last
-    position: a document costs about (distinct tokens x length / 2) bits,
-    against about 36 bytes a token as position tuples.
+    one pointer a token; most one-position masks share one ``int`` too. A
+    mask has as many bits as its token's last position: a document costs
+    about (distinct tokens x length / 2) bits, against 36 bytes a token as tuples.
     """
     documents: dict[str, tuple[str, ...]] = {}
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
@@ -247,11 +248,13 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
 
 
 def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
-    """Each token's position mask, bit ``p`` for position ``p``, in order of first occurrence."""
+    """Each token's position mask, bit ``p`` for position ``p``, in order of first occurrence; built in place
+    (up to ``_OR_IN_PLACE`` tokens), a mask of one position below 1024 is the shared ``_SHARED_BITS[p]``."""
     masks: dict[str, int] = {}
     if len(tokens) <= _OR_IN_PLACE:  # fastest while masks are short, but each OR copies its mask
         for pos, tok in enumerate(tokens):
-            masks[tok] = masks.get(tok, 0) | 1 << pos
+            mask = masks.get(tok)  # None at a first occurrence
+            masks[tok] = mask | 1 << pos if mask is not None else _SHARED_BITS[pos] if pos < 1024 else 1 << pos
         return masks
     positions: dict[str, list[int]] = {}  # past it, each mask is written once, as bytes: linear work
     for pos, tok in enumerate(tokens):

@@ -15,7 +15,7 @@ import pytest
 
 from termspace import cli
 from termspace.cli import _CONFIG_KEYS, build_parser, main, resolve_config
-from termspace.microcluster import optimal_micro_cluster
+from termspace.microcluster import build_word_graph, optimal_micro_cluster
 
 from conftest import random_corpus, random_present_term
 from oracles import (
@@ -777,6 +777,62 @@ class TestPipelineCommand:
             for name in expected:
                 written[name] += 1
         assert min(written.values()) >= 250, written
+
+    # Metamorphic relations (Chen, Cheung and Yiu 1998): each compares two runs, so needs no oracle.
+    AWKWARD_IDS = ('q"', "é", "D", "d", "d0", "a b", "Z", "\\")
+
+    def awkward_corpora(self, rng, count):
+        """Seeded small corpora whose ids sort apart from their line order, each with pipeline settings."""
+        pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "x2")
+        for _ in range(count):
+            vocab = rng.sample(pool, rng.randint(3, len(pool)))
+            texts = [text for _, text in random_corpus(rng, max_docs=8, max_tokens=12, alphabet=vocab)]
+            corpus = list(zip(rng.sample(self.AWKWARD_IDS, len(texts)), texts))
+            term = random_present_term(rng, corpus) or rng.sample(vocab, 1)
+            alpha = Fraction(rng.randint(0, 3), rng.randint(1, 12))
+            yield corpus, dict(corpus_format="jsonl", window=rng.randint(1, 4), per_doc_limit=rng.randint(1, 3),
+                               alpha=f"{alpha.numerator}/{alpha.denominator}", term=" ".join(term),
+                               measure=rng.choice(["doubleton_count", "jaccard"]))
+
+    @staticmethod
+    def jsonl_run(path, corpus, settings):
+        path.write_text("".join(json.dumps({"id": d, "text": t}) + "\n" for d, t in corpus), encoding="utf-8")
+        run = cli.Run(corpus=str(path), **settings)
+        run.index  # read now, before the file is written again
+        return run
+
+    def test_bundle_is_the_same_for_any_line_order_of_a_jsonl_corpus(self, tmp_path):
+        rng = random.Random(2626)
+        path = tmp_path / "corpus.jsonl"
+        trees = 0
+        for corpus, settings in self.awkward_corpora(rng, 300):
+            orders = (corpus, corpus[::-1], rng.sample(corpus, len(corpus)))
+            first, *rest = [cli.run_pipeline(self.jsonl_run(path, order, settings)) for order in orders]
+            assert all(bundle == first for bundle in rest), (corpus, settings)
+            trees += "tree.dot" in first
+        assert trees >= 150, trees
+
+    def test_a_second_copy_of_every_document_keeps_jaccard_weights_and_doubles_counts(self, tmp_path):
+        rng = random.Random(2627)
+        checked = 0
+        for corpus, settings in self.awkward_corpora(rng, 200):
+            settings["measure"] = "jaccard"
+            doubled = corpus + [(f"copy {doc_id}", text) for doc_id, text in corpus]
+            once, twice = (self.jsonl_run(tmp_path / name, docs, settings)
+                           for name, docs in (("once.jsonl", corpus), ("twice.jsonl", doubled)))
+            assert twice.snippets.n == 2 * once.snippets.n
+            if not once.snippets.n:  # no context to compare
+                continue
+            words = once.context.words
+            doubled_stats = {w: (s.nu * 2, s.mu * 2) for w, s in words.items()}
+            assert {w: (s.nu, s.mu) for w, s in twice.context.words.items()} == doubled_stats, (corpus, settings)
+            counts = [build_word_graph(run.context, run.index, "doubleton_count") for run in (once, twice)]
+            for a, b in combinations(sorted(words), 2):
+                assert twice.graph.weight(a, b) == once.graph.weight(a, b)
+                assert counts[1].weight(a, b) == 2 * counts[0].weight(a, b)
+            assert cli.run_pipeline(twice)["graph.dot"] == cli.run_pipeline(once)["graph.dot"]
+            checked += 1
+        assert checked >= 180, checked
 
     def test_tree_edges_are_graph_edges(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)

@@ -200,16 +200,26 @@ class TestIndexOracle:
 
     def test_documents_either_side_of_the_in_place_limit_match_oracle(self):
         # ``build_index`` ORs positions in place up to ``_OR_IN_PLACE`` tokens and
-        # writes masks as bytes past it; both must give the oracle's positions.
+        # writes masks as bytes past it; both must give the oracle's positions. In
+        # place, a first occurrence below the table's end takes its shared ``1 << p``.
         rng = random.Random(47)
         alphabet = tuple(f"w{i}" for i in range(12))
-        limit = engine._OR_IN_PLACE
+        table, limit = len(engine._SHARED_BITS), engine._OR_IN_PLACE
         corpus = [
             (f"d{n}", " ".join(rng.choices(alphabet, weights=range(12, 0, -1), k=n)))
-            for n in (limit - 1, limit, limit + 1, 2 * limit + 9)
+            for n in (table - 1, table, table + 1, limit - 1, limit, limit + 1, 2 * limit + 9)
         ]
+        corpus.append(("past-table", " ".join(["w0"] * table + ["w11"])))  # w11's one bit is the first past the table
         corpus.append(("rare", " ".join(["w0"] * (limit + 7) + ["w11"])))  # one bit past the limit
         self.assert_matches_oracle(corpus)
+
+    def test_a_token_alone_at_one_position_has_one_shared_mask(self):
+        # Bit 300 is past the ints CPython caches, so equal masks are one object only when the index shares it.
+        text = " ".join(["w0"] * 300 + ["solo", "w0", "pair", "pair"])
+        first, second = build_index([("a", text), ("b", text)]), build_index([("c", text)])
+        assert first.postings["solo"]["a"] is first.postings["solo"]["b"] is second.postings["solo"]["c"]
+        assert first.postings["solo"]["a"] == 1 << 300
+        assert first.postings["pair"]["a"] == first.postings["pair"]["b"] == 0b11 << 302
 
     def test_random_mixed_case_and_non_ascii_corpora_match_oracle(self):
         rng = random.Random(43)
@@ -395,6 +405,11 @@ class TestDoubleton:
             index = build_index(corpus)
             got = doubleton(index, "w0", "w1").doc_ids
             assert got == brute_doubleton(corpus, ["w0"], ["w1"])
+
+
+@pytest.mark.parametrize("haystack", [(), ("a",), ("a", "b")])
+def test_empty_needle_occurs_nowhere(haystack):
+    assert engine.occurrence_positions(haystack, ()) == []
 
 
 def test_phrases_with_repeated_and_absent_tokens_match_oracles():
@@ -707,6 +722,15 @@ class TestCorpusLoaders:
             load_corpus_jsonl(path)
         assert str(info.value) == f'{path}:2: "{key}" must be a string, got {json.dumps(value)}'
 
+    def test_jsonl_undecodable_byte_after_a_leading_newline_reports_line_two(self, tmp_path):
+        from termspace import load_corpus_jsonl
+
+        path = tmp_path / "docs.jsonl"
+        path.write_bytes(b"\n\xff")
+        with pytest.raises(ValueError) as info:
+            load_corpus_jsonl(path)
+        assert str(info.value) == f"{path}:2: corpus file is not UTF-8 (invalid start byte at byte 1)"
+
     def test_txt_undecodable_byte_past_first_buffer_reports_line_number(self, tmp_path):
         from termspace import load_corpus_dir
 
@@ -747,6 +771,14 @@ class TestHitCount:
             for s in range(25)
         }
         assert len(draws) > 1
+
+    def test_default_seed_is_zero_and_draws_as_seed_zero(self):
+        event = EventSet(frozenset({"a", "b", "c"}))
+        assert BiasConfig().seed == 0
+        assert BiasConfig() == BiasConfig(seed=0)
+        draws = [hit_count(event, BiasConfig("additive", 1000, seed)) for seed in (0, 1)]
+        assert draws[0] != draws[1]  # so a default seed other than 0 would draw otherwise
+        assert hit_count(event, BiasConfig("additive", 1000)) == draws[0]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -228,8 +228,10 @@ class TestMicroCluster:
     @pytest.mark.parametrize(
         "alpha, exact",
         [("0e999999999", 0), ("1e308", 10**308), ("2.471e-324", Fraction(2471, 10**327)),
-         (sys.float_info.max, Fraction("1.7976931348623157e308"))],
-        ids=["zero-huge-exponent", "1e308", "rounds-up-to-smallest", "largest-float"],
+         (sys.float_info.max, Fraction("1.7976931348623157e308")),
+         (int(sys.float_info.max), Fraction(sys.float_info.max)), (Fraction(sys.float_info.max), sys.float_info.max)],
+        ids=["zero-huge-exponent", "1e308", "rounds-up-to-smallest", "largest-float",
+             "largest-float-as-int", "largest-float-as-fraction"],
     )
     def test_threshold_inside_float_range_is_kept_exactly(self, alpha, exact):
         assert self.make(alpha).alpha == exact
@@ -288,6 +290,17 @@ class TestMicroCluster:
         assert self.make("1" + "0" * limit + f"e-{limit}").alpha == 1
         assert self.make("1" + "0" * (limit - 1) + "/1" + "0" * (limit - 1)).alpha == 1
         assert time.perf_counter() - start < 1
+
+    def test_threshold_p_over_q_is_read_exactly_with_no_int_digit_limit(self):
+        # 0 lifts the limit; on a Python with no limit (before 3.10.7) the test runs as it is.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+        set_limit(0)
+        try:
+            p, q = "7" * 5000, "3" + "0" * 4999
+            assert self.make(f"{p}/{q}").alpha == Fraction(int(p), int(q))
+        finally:
+            set_limit(limit)
 
     def test_threshold_leaves_the_callers_decimal_context_alone(self):
         with decimal.localcontext() as context:
