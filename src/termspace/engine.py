@@ -31,6 +31,7 @@ BIAS_MODES = ("none", "additive", "multiplicative")
 # pattern ``\w`` is exactly ``isalnum`` plus the underscore, which the
 # class removes again.
 _TOKEN = re.compile(r"[^\W_]+")
+_ASCII_SPLIT = {c: " " for c in range(128) if not chr(c).isalnum()}  # ASCII separators to spaces, for ``str.translate``
 _BITS = bytes.maketrans(b"01", b"\0\1")  # ``bin`` digits as selectors for ``compress``
 _OR_IN_PLACE = 1 << 14  # document length past which byte rows build masks faster than ORs (English text)
 _SHARED_BITS = tuple(1 << p for p in range(1024))  # one-position masks, 105 KB: n of them hold n**2 / 16 bytes of bits
@@ -43,12 +44,14 @@ def _select(items: Sequence, bits: int) -> Iterator:  # items[i] for each set bi
 def tokenize(text: str) -> list[str]:
     """Lowercase ``text`` and split it on runs of non-alphanumeric characters.
 
-    A token is a maximal run of characters of the lowercased text for
-    which ``str.isalnum`` is true; the regular expression agrees with
-    ``str.isalnum`` on every code point. Empty tokens are dropped and
+    A token is a maximal run of characters for which ``str.isalnum`` holds.
+    ASCII text is split by one ``str.translate`` and ``str.split``, other
+    text by a regular expression that agrees with ``str.isalnum`` on every
+    code point; both give the same tokens. Empty tokens are dropped and
     order is preserved. The empty string yields an empty list.
     """
-    return _TOKEN.findall(text.lower())
+    text = text.lower()
+    return text.translate(_ASCII_SPLIT).split() if text.isascii() else _TOKEN.findall(text)
 
 
 @dataclass(frozen=True)

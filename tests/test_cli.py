@@ -781,9 +781,8 @@ class TestPipelineCommand:
     # Metamorphic relations (Chen, Cheung and Yiu 1998): each compares two runs, so needs no oracle.
     AWKWARD_IDS = ('q"', "é", "D", "d", "d0", "a b", "Z", "\\")
 
-    def awkward_corpora(self, rng, count):
+    def awkward_corpora(self, rng, count, pool=("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "x2")):
         """Seeded small corpora whose ids sort apart from their line order, each with pipeline settings."""
-        pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "x2")
         for _ in range(count):
             vocab = rng.sample(pool, rng.randint(3, len(pool)))
             texts = [text for _, text in random_corpus(rng, max_docs=8, max_tokens=12, alphabet=vocab)]
@@ -833,6 +832,46 @@ class TestPipelineCommand:
             assert cli.run_pipeline(twice)["graph.dot"] == cli.run_pipeline(once)["graph.dot"]
             checked += 1
         assert checked >= 180, checked
+
+    # Runs of ASCII characters that are not alphanumeric: each splits two tokens, as a space does.
+    ASCII_SEPARATORS = (" ", "\t", "\n", ", ", ". ", "-", "_", "'", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f", "--(", " / ")
+
+    def test_bundle_is_the_same_down_either_tokenizer_path(self, tmp_path):
+        """A NO-BREAK SPACE after every ASCII document sends it down ``tokenize``'s regex path, not its split."""
+        rng = random.Random(2727)
+        pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "x2", "r2d2", "e")
+        trees = 0
+        for corpus, settings in self.awkward_corpora(rng, 200, pool):
+            corpus = [(doc_id, "".join(rng.choice(self.ASCII_SEPARATORS) + rng.choice([w, w.upper(), w.title()])
+                                       for w in text.split()))
+                      for doc_id, text in corpus]
+            assert all(text.isascii() for _, text in corpus)
+            marked = [(doc_id, text + "\u00a0") for doc_id, text in corpus]
+            bundles = [cli.run_pipeline(self.jsonl_run(tmp_path / name, docs, settings))
+                       for name, docs in (("ascii.jsonl", corpus), ("marked.jsonl", marked))]
+            assert bundles[0] == bundles[1], (corpus, settings)
+            trees += "tree.dot" in bundles[0]
+        assert trees >= 120, trees
+
+    def test_an_added_document_without_the_term_or_context_words_keeps_the_bundle(self, tmp_path):
+        rng = random.Random(2728)
+        pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "x2", "zebra", "über")
+        names = ("snippets.json", "context.json", "graph.dot", "tree.dot")
+        checked = 0
+        for corpus, settings in self.awkward_corpora(rng, 200, pool):
+            settings["measure"] = "jaccard"
+            before = self.jsonl_run(tmp_path / "before.jsonl", corpus, settings)
+            bundle = cli.run_pipeline(before)
+            held = set(before.snippets.term.tokens) | set(before.context.words if "context.json" in bundle else ())
+            free = [w for w in pool if w not in held]
+            text = " ".join(rng.choice(free) for _ in range(rng.randint(0, 12)))
+            doc_id = rng.choice([d for d in ("0", "d1", "~", "new") if d not in dict(corpus)])
+            added = list(corpus)
+            added.insert(rng.randint(0, len(corpus)), (doc_id, text))
+            after = cli.run_pipeline(self.jsonl_run(tmp_path / "after.jsonl", added, settings))
+            assert {n: after.get(n) for n in names} == {n: bundle.get(n) for n in names}, (added, settings)
+            checked += "tree.dot" in bundle and bool(text)
+        assert checked >= 120, checked
 
     def test_tree_edges_are_graph_edges(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)

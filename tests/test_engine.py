@@ -52,7 +52,11 @@ CORPORA = st.lists(DOC_TEXTS, min_size=1, max_size=10).map(
 # digit that is not decimal.
 WHITESPACE = "".join(ch for ch in map(chr, range(0x110000)) if ch.isspace())
 SPLIT_TEXTS = st.text(alphabet=WHITESPACE + "_-.\u0301İß²" + string.ascii_letters + string.digits, max_size=80)
-TEXTS = st.one_of(st.text(max_size=200), SPLIT_TEXTS)
+# ASCII text takes tokenize's translate-and-split path; KELVIN SIGN (U+212A) is the one non-ASCII
+# code point whose lowercase ("k") is ASCII, so text holding it takes that path too.
+ASCII_TEXTS = st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=200)
+KELVIN_TEXTS = st.text(alphabet=st.one_of(st.characters(max_codepoint=0x7F), st.just("\u212a")), max_size=80)
+TEXTS = st.one_of(st.text(max_size=200), SPLIT_TEXTS, ASCII_TEXTS, KELVIN_TEXTS)
 
 
 class TestTokenize:
@@ -94,6 +98,10 @@ class TestTokenize:
     @settings(max_examples=300)
     def test_agrees_with_character_loop(self, text):
         assert tokenize(text) == loop_tokenize(text)
+
+    def test_every_ascii_pair_matches_character_loop(self):
+        texts = [chr(a) + chr(b) + "x" + chr(a) for a in range(128) for b in range(128)]
+        assert [t for t in texts if tokenize(t) != loop_tokenize(t)] == []
 
 
 class TestTerm:
