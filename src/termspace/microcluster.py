@@ -101,7 +101,7 @@ class WordGraph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("graph vertices must be unique")
         n, weights = len(vertices), self.weights
-        built = isinstance(weights, _PairWeights) and weights.vertices == vertices
+        built = isinstance(weights, _PairWeights) and weights.vertices == vertices  # skips n(n-1)/2 key reads below
         if len(weights) != n * (n - 1) // 2 or not (built or all(map(weights.__contains__, combinations(vertices, 2)))):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
         if not built:
@@ -238,7 +238,7 @@ def _threshold(alpha: Fraction | int | float | str) -> Fraction:
         elif (number := float(text)) and abs(number) != inf:
             value = Fraction(Decimal(text))  # compared with floats below, which would flag the caller's decimal context
         else:  # 0 if every digit before the exponent is 0; else past float range, and its sign is all that counts
-            value = copysign(inf, number) if number or Decimal(text.lower().partition("e")[0]) else 0
+            value = copysign(inf, number) if Decimal(text.lower().partition("e")[0]) else 0
     except (ArithmeticError, ValueError):
         raise ValueError(f"alpha must be a finite number{got}") from None
     if value < 0:
@@ -263,7 +263,7 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     if missing:
         raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
     sub_vertices, weights = tuple(sorted(retained)), graph.weights
-    if sub_vertices != graph.vertices:  # with every word retained, the cluster's graph is ``graph``
+    if sub_vertices != graph.vertices:  # else all are kept: ``graph`` itself, 0.2 ms; a copy 17-26 ms (BENCH_28.json)
         codes = list(map(weights.code, combinations(sub_vertices, 2)))
         graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, codes, weights.table))
     return MicroCluster(graph=graph, words=retained, alpha=threshold)

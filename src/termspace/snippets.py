@@ -29,8 +29,6 @@ class Snippet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(self.words))
         object.__setattr__(self, "term_spans", tuple(tuple(s) for s in self.term_spans))
-        if not self.words:
-            raise ValueError("a snippet must contain at least one word")
         if not self.term_spans:
             raise ValueError("a snippet must contain the term it was extracted for")
         for start, end in self.term_spans:

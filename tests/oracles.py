@@ -281,3 +281,84 @@ def kruskal_edges(vertices, weights):
             component[v] = merged
         kept.append((a, b, w))
     return kept
+
+
+def twelve_digits(value):
+    """A rational as the JSON files print it: its float to 12 significant digits."""
+    return format(float(value), ".12g")
+
+
+def json_text(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def pipeline_bundle(corpus, term_tokens, window, per_doc_limit, measure, alpha):
+    """Reference ``pipeline`` bundle without stopwords: each file's name and text.
+
+    A word's ``nu`` is its exact weight over the snippet windows and its
+    ``mu`` its document count; the cluster keeps the words whose ``nu`` is
+    at least ``alpha``, in ``nu`` order, and its tree is Kruskal's.
+    """
+    term = list(term_tokens)
+    k, text = len(term), " ".join(term)
+    found = window_snippets(corpus, term, window, per_doc_limit)
+    snippets = [
+        {"doc_id": doc_id, "words": ws, "term_spans": [[i, i + k] for i in range(len(ws)) if ws[i : i + k] == term]}
+        for doc_id, ws in found
+    ]
+    bundle = {"snippets.json": json_text({"term": text, "snippets": snippets})}
+    word_lists = [ws for _, ws in found]
+    words = sorted({w for ws in word_lists for w in ws})
+    nu = {w: exact_weight_of_word(w, word_lists) for w in words}
+    mu = {w: len(brute_singleton(corpus, [w])) for w in words}
+    retained = [w for w in sorted(words, key=lambda w: (-nu[w], w)) if nu[w] >= alpha]
+    if words:
+        bundle["context.json"] = json_text({
+            "term": text,
+            "words": [{"word": w, "nu": twelve_digits(nu[w]), "mu": mu[w]} for w in words],
+            "nu_order": sorted(words, key=lambda w: (-nu[w], w)),
+            "mu_order": sorted(words, key=lambda w: (-mu[w], w)),
+        })
+        pairs = list(itertools.combinations(words, 2))
+        if measure == "jaccard":
+            weights = {(a, b): brute_jaccard(corpus, a, b) for a, b in pairs}
+        else:
+            weights = {(a, b): Fraction(len(brute_doubleton(corpus, [a], [b]))) for a, b in pairs}
+        bundle["graph.dot"] = dot_text(words, [(a, b, w) for (a, b), w in weights.items()])
+    tree = shade = None
+    if retained:
+        edges = kruskal_edges(retained, {pair: w for pair, w in weights.items() if set(pair) <= set(retained)})
+        bundle["tree.dot"] = dot_text(sorted(retained), edges)
+        z = max(mu[w] for w in retained)
+        entries = [{"word": w, "raw": mu[w], "normalized": twelve_digits(Fraction(mu[w], z))} for w in retained]
+        shade = {"entries": entries, "z": z}
+        bundle["shade.json"] = json_text({"cluster": shade, "tree": shade})
+        components = count_components(retained, [(a, b) for a, b, _ in edges])
+        tree = {"vertices": len(retained), "edges": len(edges), "components": components}
+    bundle["report.json"] = json_text({
+        "term": text,
+        "config": {"window": window, "per_doc_limit": per_doc_limit, "alpha": twelve_digits(alpha), "measure": measure},
+        "stages": {
+            "snippets": {"count": len(found), "empty": not found},
+            "context": {"words": len(words), "empty": not words},
+            "cluster": {"retained": len(retained), "empty": not retained},
+            "tree": tree,
+            "shade": None if shade is None else {"z": shade["z"]},
+        },
+        "theorem_check": None if tree is None else tree["edges"] + 1 == tree["vertices"] and tree["components"] == 1,
+        "artifacts": sorted(bundle) + ["report.json"],
+    })
+    return bundle
+
+
+def query_text(corpus, terms, mode, magnitude, seed):
+    """Reference ``query`` output for one term or two distinct ones under a bias of non-zero ``magnitude``."""
+    def shown(doc_ids):
+        count = biased_count(doc_ids, mode, magnitude, seed)
+        return count if isinstance(count, int) else twelve_digits(count)
+
+    events = [brute_singleton(corpus, term) for term in terms]
+    texts = [" ".join(term) for term in terms]
+    if len(terms) == 1:
+        return json_text({"term": texts[0], "count": shown(events[0])})
+    return json_text({"terms": texts, "counts": [shown(e) for e in events], "doubleton": shown(events[0] & events[1])})

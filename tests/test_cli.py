@@ -20,12 +20,9 @@ from termspace.microcluster import build_word_graph, optimal_micro_cluster
 from conftest import random_corpus, random_present_term
 from oracles import (
     brute_context,
-    brute_doubleton,
-    brute_jaccard,
     brute_singleton,
-    dot_text,
-    exact_weight_of_word,
-    kruskal_edges,
+    pipeline_bundle,
+    query_text,
     window_snippets,
 )
 
@@ -364,6 +361,15 @@ class TestConfigFile:
         config.write_text(json.dumps({"corpus": str(corpus), key: ""}), encoding="utf-8")
         code, out, err = run_cli(capsys, ["cluster", "--config", str(config), "rock"])
         assert (code, out, err) == (0, unset, "")
+
+    def test_null_value_leaves_the_default(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"corpus": str(corpus)}), encoding="utf-8")
+        _, unset, _ = run_cli(capsys, ["cluster", "--config", str(config), "rock"])
+        nulls = dict.fromkeys([key for key in _CONFIG_KEYS if key != "corpus"])
+        config.write_text(json.dumps({"corpus": str(corpus), **nulls}), encoding="utf-8")
+        assert run_cli(capsys, ["cluster", "--config", str(config), "rock"]) == (0, unset, "")
 
     def test_empty_corpus_is_no_corpus(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -709,6 +715,18 @@ class TestPipelineCommand:
         assert report["theorem_check"] is None
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.json", "snippets.json"]
 
+    def test_alpha_above_every_weight_reports_an_empty_cluster(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        out_dir = tmp_path / "bundle"
+        argv = ["pipeline", "--corpus", str(corpus), "--alpha", "99", "--out", str(out_dir), "rock"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["stages"]["context"]["empty"] is False
+        assert report["stages"]["cluster"] == {"retained": 0, "empty": True}
+        assert report["stages"]["tree"] is None and report["theorem_check"] is None
+        assert report["artifacts"] == ["context.json", "graph.dot", "snippets.json", "report.json"]
+
     def test_bundle_matches_oracles(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path, FIXTURE)
         out_dir = tmp_path / "bundle"
@@ -742,12 +760,12 @@ class TestPipelineCommand:
             report["stages"]["tree"]["vertices"] - report["stages"]["tree"]["components"]
         )
 
-    def test_graph_and_tree_dot_match_the_oracles_on_random_corpora(self, tmp_path):
-        """``graph.dot`` and ``tree.dot`` rebuilt from the oracles alone: brute weights, the ``nu`` filter, Kruskal."""
-        rng = random.Random(2525)
+    def test_graph_and_tree_dot_match_the_oracles_on_random_corpora(self, tmp_path, capsys):
+        """The whole bundle, and a biased ``query``, rebuilt from the oracles alone (``oracles.pipeline_bundle``)."""
+        rng, bias_rng = random.Random(2525), random.Random(2526)
         pool = ("rock", "rain", "sun", "trail", "face", "on", "the", "café", "straße", "zürich", "x2", "über")
         path = tmp_path / "corpus.jsonl"
-        written = dict.fromkeys(["graph.dot", "tree.dot"], 0)
+        written = dict.fromkeys(cli._ARTIFACT_NAMES, 0)
         for _ in range(400):
             vocab = rng.sample(pool, rng.randint(3, 12))
             corpus = random_corpus(rng, max_docs=8, max_tokens=12, alphabet=vocab)
@@ -758,24 +776,18 @@ class TestPipelineCommand:
             run = cli.Run(corpus=str(path), corpus_format="jsonl", window=window, per_doc_limit=limit,
                           alpha=f"{alpha.numerator}/{alpha.denominator}", measure=measure, term=" ".join(term))
             artifacts = cli.run_pipeline(run)
-
-            word_lists = [words for _, words in window_snippets(corpus, term, window, limit)]
-            words = sorted({w for ws in word_lists for w in ws})
-            if measure == "jaccard":
-                weights = {(a, b): brute_jaccard(corpus, a, b) for a, b in combinations(words, 2)}
-            else:
-                weights = {(a, b): Fraction(len(brute_doubleton(corpus, [a], [b]))) for a, b in combinations(words, 2)}
-            retained = [w for w in words if exact_weight_of_word(w, word_lists) >= alpha]
-            tree = kruskal_edges(retained, {pair: w for pair, w in weights.items() if set(pair) <= set(retained)})
-            expected = {}  # each file is written only when it has a vertex
-            if words:
-                expected["graph.dot"] = dot_text(words, [(a, b, w) for (a, b), w in weights.items()])
-            if retained:
-                expected["tree.dot"] = dot_text(retained, tree)
-            got = {name: artifacts[name] for name in written if name in artifacts}
-            assert got == expected, (corpus, term, window, limit, measure, alpha)
+            expected = pipeline_bundle(corpus, term, window, limit, measure, alpha)
+            assert artifacts == expected, (corpus, term, window, limit, measure, alpha)
             for name in expected:
                 written[name] += 1
+
+            other = bias_rng.sample(vocab, bias_rng.randint(1, 2))
+            terms = [term] if other == list(term) else [term, other]
+            mode = bias_rng.choice(["additive", "multiplicative"])
+            magnitude, seed = bias_rng.randint(1, 4000) / 100, bias_rng.randint(0, 99)
+            argv = ["query", "--corpus", str(path), "--format", "jsonl", "--bias-mode", mode,
+                    "--bias-magnitude", repr(magnitude), "--seed", str(seed), *(" ".join(t) for t in terms)]
+            assert run_cli(capsys, argv) == (0, query_text(corpus, terms, mode, magnitude, seed), ""), argv
         assert min(written.values()) >= 250, written
 
     # Metamorphic relations (Chen, Cheung and Yiu 1998): each compares two runs, so needs no oracle.

@@ -439,6 +439,7 @@ class TestMirrorShade:
         corpus = [("d1", "a b c")]
         shade = mirror_shade(["c", "a", "b"], build_index(corpus))
         assert [e.word for e in shade.entries] == ["c", "a", "b"]
+        assert mirror_shade(iter(["c", "a", "b"]), build_index(corpus)) == shade  # a one-shot iterator too
 
     def test_word_to_entry_map_is_one_one(self):
         corpus = [("d1", "a b c")]
@@ -1028,3 +1029,8 @@ class TestWeightsView:
         vertices = ("a", "b", "c")
         with pytest.raises(ValueError, match=f"^{message}$"):
             WordGraph(vertices=vertices, weights=_PairWeights(vertices, codes, _Ratios(4)))
+
+    def test_weights_of_a_graph_on_other_vertices_rejected(self):
+        other = WordGraph(vertices=("a", "b"), weights={("a", "b"): Fraction(1)})
+        with pytest.raises(ValueError, match="^graph must carry exactly one weight per sorted vertex pair$"):
+            WordGraph(vertices=("x", "y"), weights=other.weights)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from termspace import (
     Snippet,
+    SnippetList,
     Term,
     build_index,
     doubleton,
@@ -89,12 +90,24 @@ def test_multi_token_term_spans():
 
 
 def test_empty_snippet_construction_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term span \(0, 1\) out of range"):
         Snippet(doc_id="D1", words=(), term_spans=((0, 1),))
+    with pytest.raises(ValueError, match="must contain the term"):
+        Snippet(doc_id="D1", words=(), term_spans=())
     with pytest.raises(ValueError):
         Snippet(doc_id="D1", words=("a",), term_spans=())
     with pytest.raises(ValueError, match="out of range"):
         Snippet(doc_id="D1", words=("a",), term_spans=((0, 2),))
+    with pytest.raises(ValueError, match=r"term span \(1, 1\) out of range"):  # a span holds at least one word
+        Snippet(doc_id="D1", words=("a", "b"), term_spans=((1, 1),))
+
+
+def test_lists_are_stored_as_tuples():
+    snippet = Snippet(doc_id="D1", words=["a", "b"], term_spans=[[1, 2]])
+    assert (snippet.words, snippet.term_spans) == (("a", "b"), ((1, 2),))
+    snippets = SnippetList(term=Term(("b",)), snippets=[snippet])
+    assert snippets.snippets == (snippet,)
+    assert hash(snippets) == hash(SnippetList(term=Term(("b",)), snippets=(snippet,)))
 
 
 def test_matches_reference_extractor():

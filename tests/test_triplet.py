@@ -203,6 +203,7 @@ class TestBuildContext:
             (("a", "b"), ("b", "a", "b"), "permutations"),
             (("b", "a"), ("a", "b"), "nu_order must be non-increasing"),
             (("a", "b"), ("a", "b"), "mu_order must be non-increasing"),
+            (("a", "a"), ("b", "a"), "permutations"),
         ],
     )
     def test_orders_that_break_the_invariant_rejected(self, nu_order, mu_order, message):
