@@ -211,11 +211,13 @@ def _shades(mc: MicroCluster, index: Index) -> dict:
 
 def _index_payload(run: Run, _) -> dict:
     index = run.index
-    return {"documents": index.universe_size, "unique_tokens": len(index.postings),
+    return {"documents": len(index.documents), "unique_tokens": len(index.postings),
             "total_tokens": index.total_tokens}
 
 
 def _query_payload(run: Run, args: argparse.Namespace) -> dict:
+    if len(args.terms) not in (1, 2):  # before ``run.index``, so before the corpus is read
+        raise ValueError("query takes one or two terms")
     index, terms = run.index, [Term.parse(raw) for raw in args.terms]
     if len(terms) == 1:
         return {"term": terms[0].text, "count": count_value(hit_count(singleton(index, terms[0]), run.bias))}
@@ -254,8 +256,6 @@ _STAGE_COMMANDS = {
 
 def cmd_stage(args: argparse.Namespace) -> int:
     run = resolve_config(args)
-    if args.command == "query" and len(args.terms) not in (1, 2):
-        raise ValueError("query takes one or two terms")
     _write(dump_json(_STAGE_COMMANDS[args.command][1](run, args)), run.out)
     return 0
 

@@ -71,13 +71,8 @@ class Term:
         if not self.tokens:
             raise ValueError("a term needs at least one token")
         for tok in self.tokens:
-            if any(ch.isspace() for ch in tok):
-                raise ValueError(f"invalid term token: {tok!r}")
-            if tok != tok.lower():
-                raise ValueError(f"term tokens must be lowercase: {tok!r}")
-            # For a lowercase token this is ``tokenize(tok) == [tok]``.
-            if not _TOKEN.fullmatch(tok):
-                raise ValueError(f"term tokens must be single alphanumeric words: {tok!r}")
+            if tokenize(tok) != [tok]:
+                raise ValueError(f"term tokens must be single lowercase alphanumeric words: {tok!r}")
 
     @classmethod
     def parse(cls, text: str) -> "Term":
@@ -138,10 +133,6 @@ class Index:
                 self._bitsets.clear()
             bits = self._bitsets[token] = self.table.bits(self.postings.get(token, ()))
         return bits
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.documents)
 
     @property
     def total_tokens(self) -> int:
@@ -357,12 +348,14 @@ def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
 def _read_text(path: Path, kind: str) -> str:
     """An input file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` as text mode reads them.
 
-    ``kind`` names the file: a missing one is rejected by name, one not UTF-8 by name and its first bad byte's line.
+    ``kind`` names the file: a missing one or a directory is rejected by name, one not UTF-8 by name and line.
     """
     try:
         data = path.read_bytes()
     except (FileNotFoundError, NotADirectoryError):
         raise ValueError(f"{kind} not found: {path}") from None
+    except IsADirectoryError:
+        raise ValueError(f"{kind} is a directory: {path}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -376,12 +369,13 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
 
     The file stem becomes the document id. Files are taken in sorted name
     order so the resulting index is a pure function of the directory
-    contents. A file that is not UTF-8 is rejected by name and line.
+    contents; a subdirectory is not a document and is skipped. A file that
+    is not UTF-8 is rejected by name and line.
     """
     p = Path(path)
     if not p.is_dir():
         raise ValueError(f"corpus directory not found: {p}")
-    return [(f.stem, _read_text(f, "corpus file")) for f in sorted(p.glob("*.txt"))]
+    return [(f.stem, _read_text(f, "corpus file")) for f in sorted(p.glob("*.txt")) if not f.is_dir()]
 
 
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:

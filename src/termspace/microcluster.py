@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, repeat
 from math import copysign, inf, nan
 from operator import add, itemgetter
 
@@ -364,7 +364,8 @@ def graph_to_dot(graph: WordGraph) -> str:
     rows, in_order = [], map(labels.__getitem__, codes)
     for i, a in enumerate(vertices[:-1]):  # row i holds the pairs (a, b) for the n - 1 - i words b after a
         head = f'  "{a}" -- '
-        rows.append(head + head.join(map(str.__add__, tails[i + 1 :], islice(in_order, len(tails) - 1 - i))))
+        # ``map`` stops at the end of ``tails[i + 1 :]`` before it reads ``in_order``, so each row takes its own codes.
+        rows.append(head + head.join(map(str.__add__, tails[i + 1 :], in_order)))
     return _dot(vertices, rows)
 
 

@@ -149,6 +149,28 @@ class TestIndexCommand:
         name = str(corpus / "two\nlines.txt").replace("\n", "\\n")
         assert err == f"error: {name}:1: corpus file is not UTF-8 (invalid start byte at byte 0)\n"
 
+    def test_subdirectory_of_the_corpus_is_not_a_document(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, {"d0": "rock on the rock"})
+        (corpus / "sub.txt").mkdir()
+        (corpus / "sub.txt" / "d1.txt").write_text("rain", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"documents": 1, "unique_tokens": 3, "total_tokens": 4}
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["index", "--format", "jsonl", "--corpus", "{dir}"], "corpus file"),
+            (["context", "--corpus", "{dir}", "--config", "{dir}", "rock"], "config file"),
+            (["context", "--corpus", "{dir}", "--stopwords", "{dir}", "rock"], "stopwords file"),
+        ],
+        ids=["index-jsonl-corpus", "context-config", "context-stopwords"],
+    )
+    def test_input_file_that_is_a_directory_is_one_error_line_naming_it(self, tmp_path, capsys, argv, kind):
+        corpus = write_corpus(tmp_path, FIXTURE)
+        code, out, err = run_cli(capsys, [arg.format(dir=corpus) for arg in argv])
+        assert (code, out, err) == (1, "", f"error: {kind} is a directory: {corpus}\n")
+
     def test_missing_corpus_flag(self, capsys):
         code, _, err = run_cli(capsys, ["index"])
         assert code == 1

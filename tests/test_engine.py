@@ -117,18 +117,24 @@ class TestTerm:
         term = Term(["alpha", "beta"])
         assert term.tokens == ("alpha", "beta") and hash(term) == hash(Term(("alpha", "beta")))
 
-    @pytest.mark.parametrize("token", ["x-y", "a_b", "x.y", "e\u0301", "-", ""])
+    @pytest.mark.parametrize("token", ["x y", "a\tb", "X", "X-y", "x-y", "a_b", "x.y", "e\u0301", "-", ""])
     def test_token_that_is_not_a_tokenize_fixed_point_rejected_by_name(self, token):
         assert tokenize(token) != [token]
-        with pytest.raises(ValueError, match="single alphanumeric words") as info:
+        with pytest.raises(ValueError) as info:
             Term((token,))
-        assert repr(token) in str(info.value)
+        assert str(info.value) == f"term tokens must be single lowercase alphanumeric words: {token!r}"
 
-    def test_whitespace_and_uppercase_keep_their_messages(self):
-        with pytest.raises(ValueError, match="invalid term token: 'x y'"):
-            Term(("x y",))
-        with pytest.raises(ValueError, match="must be lowercase: 'X-y'"):
-            Term(("X-y",))
+    def test_one_character_token_accepted_exactly_when_tokenize_keeps_it(self):
+        accepted, fixed = set(), set()
+        for ch in map(chr, [*range(0xD800), *range(0xE000, 0x10000)]):  # the BMP without surrogates
+            if tokenize(ch) == [ch]:
+                fixed.add(ch)
+            try:
+                Term((ch,))
+            except ValueError:
+                continue
+            accepted.add(ch)
+        assert accepted == fixed
 
     @given(st.text(max_size=60))
     @settings(max_examples=200)
@@ -152,7 +158,7 @@ def mask_positions(mask):
 class TestBuildIndex:
     def test_empty_corpus(self):
         index = build_index([])
-        assert index.universe_size == 0
+        assert len(index.documents) == 0
         assert index.postings == {}
 
     def test_postings_positions(self):
@@ -160,9 +166,9 @@ class TestBuildIndex:
         assert {d: mask_positions(m) for d, m in index.postings["a"].items()} == {"D1": (0,)}
         assert {d: mask_positions(m) for d, m in index.postings["b"].items()} == {"D1": (1,), "D2": (0,)}
 
-    def test_universe_size_counts_documents(self):
+    def test_documents_holds_every_document(self):
         corpus = [(f"doc{i}", "filler text") for i in range(1000)]
-        assert build_index(corpus).universe_size == 1000
+        assert len(build_index(corpus).documents) == 1000
 
     def test_duplicate_id_rejected_by_name(self):
         with pytest.raises(ValueError, match="dup"):
@@ -406,7 +412,7 @@ class TestDoubleton:
         x = singleton(index, "w0")
         y = singleton(index, "w1")
         both = doubleton(index, "w0", "w1")
-        assert 0 <= both.cardinality <= min(x.cardinality, y.cardinality) <= index.universe_size
+        assert 0 <= both.cardinality <= min(x.cardinality, y.cardinality) <= len(index.documents)
 
     def test_matches_brute_force_intersection(self):
         rng = random.Random(37)
