@@ -348,7 +348,7 @@ def hit_count(event: EventSet, bias: BiasConfig | None = None) -> int | float:
 def _read_text(path: Path, kind: str) -> str:
     """An input file's UTF-8 text, with ``\\r\\n`` and ``\\r`` read as ``\\n`` as text mode reads them.
 
-    ``kind`` names the file: a missing one or a directory is rejected by name, one not UTF-8 by name and line.
+    ``kind`` names the file in each rejection: missing, a directory, unreadable, or not UTF-8 (with the line).
     """
     try:
         data = path.read_bytes()
@@ -356,6 +356,8 @@ def _read_text(path: Path, kind: str) -> str:
         raise ValueError(f"{kind} not found: {path}") from None
     except IsADirectoryError:
         raise ValueError(f"{kind} is a directory: {path}") from None
+    except OSError as exc:  # a symlink loop, say, or a file without read permission
+        raise ValueError(f"{kind} cannot be read: {path} ({exc.strerror})") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -369,13 +371,14 @@ def load_corpus_dir(path: str | Path) -> list[tuple[str, str]]:
 
     The file stem becomes the document id. Files are taken in sorted name
     order so the resulting index is a pure function of the directory
-    contents; a subdirectory is not a document and is skipped. A file that
-    is not UTF-8 is rejected by name and line.
+    contents. Only a regular file is a document, so a subdirectory or a
+    FIFO is skipped; a broken link or a link loop is read and rejected by
+    name, as is a file that is not UTF-8, by name and line.
     """
     p = Path(path)
     if not p.is_dir():
         raise ValueError(f"corpus directory not found: {p}")
-    return [(f.stem, _read_text(f, "corpus file")) for f in sorted(p.glob("*.txt")) if not f.is_dir()]
+    return [(f.stem, _read_text(f, "corpus file")) for f in sorted(p.glob("*.txt")) if f.is_file() or not f.exists()]
 
 
 def load_corpus_jsonl(path: str | Path) -> list[tuple[str, str]]:

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, compress, repeat
 from math import copysign, inf, nan
 from operator import add, itemgetter
 
@@ -49,14 +49,14 @@ class _PairWeights(Mapping):
         self.vertices, self.codes, self.table = vertices, codes, table
         self.ordinal = {v: i for i, v in enumerate(vertices)}
 
-    def code(self, pair: tuple[str, str]) -> int:
+    def start(self, i: int) -> int:  # row i, the pairs of ordinals (i, j > i), follows rows of n - 1, ..., n - i codes
+        return i * (2 * len(self.vertices) - i - 1) // 2
+
+    def __getitem__(self, pair: tuple[str, str]) -> Fraction:
         i, j = map(self.ordinal.get, pair) if isinstance(pair, tuple) and len(pair) == 2 else (None, None)
         if i is None or j is None or i >= j:
             raise KeyError(pair)
-        return self.codes[i * (2 * len(self.vertices) - i - 1) // 2 + j - i - 1]  # the pair of ordinals i < j
-
-    def __getitem__(self, pair: tuple[str, str]) -> Fraction:
-        return self.table[self.code(pair)]
+        return self.table[self.codes[self.start(i) + j - i - 1]]
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -252,20 +252,20 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     """Retain the context words whose weight is at least ``alpha``.
 
     The retained words induce a complete subgraph of ``graph`` that shares
-    its weight table, or ``graph`` itself when every word is retained; a
-    retained word that is not a vertex of ``graph`` raises ``ValueError``. A
-    threshold above every weight yields an empty cluster rather than an
-    error. ``alpha`` is read by the rule ``--alpha`` follows: ``0.1`` is 1/10, and 1e400 is rejected.
+    its weight table; a retained word that is not a vertex of ``graph``
+    raises ``ValueError``. A threshold above every weight yields an empty
+    cluster rather than an error. ``alpha`` is read by the rule ``--alpha``
+    follows: ``0.1`` is 1/10, and 1e400 is rejected.
     """
     threshold = _threshold(alpha)
     retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
-    missing = sorted(set(retained).difference(graph.vertices))
-    if missing:
+    if missing := sorted(set(retained).difference(graph.vertices)):
         raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
-    sub_vertices, weights = tuple(sorted(retained)), graph.weights
-    if sub_vertices != graph.vertices:  # else all are kept: ``graph`` itself, 0.2 ms; a copy 17-26 ms (BENCH_28.json)
-        codes = list(map(weights.code, combinations(sub_vertices, 2)))
-        graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, codes, weights.table))
+    weights, keep = graph.weights, list(map(set(retained).__contains__, graph.vertices))
+    sub_vertices, codes = tuple(compress(graph.vertices, keep)), []
+    for i in compress(range(len(keep)), keep):  # row i, cut to the retained vertices after i
+        codes += compress(weights.codes[weights.start(i) : weights.start(i + 1)], keep[i + 1 :])
+    graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, codes, weights.table))
     return MicroCluster(graph=graph, words=retained, alpha=threshold)
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -156,6 +158,57 @@ class TestIndexCommand:
         code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus)])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"documents": 1, "unique_tokens": 3, "total_tokens": 4}
+
+    def test_fifo_in_the_corpus_is_not_a_document(self, tmp_path):
+        # Opening a FIFO waits for a writer, so the command runs in a subprocess whose timeout fails the test.
+        corpus = write_corpus(tmp_path, {"d0": "rock on the rock"})
+        os.mkfifo(corpus / "p.txt")
+        result = subprocess.run(
+            [sys.executable, "-m", "termspace", "index", "--corpus", str(corpus)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == {"documents": 1, "unique_tokens": 3, "total_tokens": 4}
+
+    def test_broken_link_in_the_corpus_is_one_error_line_naming_it(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, {"d0": "rock on the rock"})
+        (corpus / "gone.txt").symlink_to(tmp_path / "absent.txt")
+        code, out, err = run_cli(capsys, ["index", "--corpus", str(corpus)])
+        assert (code, out, err) == (1, "", f"error: corpus file not found: {corpus / 'gone.txt'}\n")
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["index", "--corpus", "{dir}"], "corpus file"),
+            (["index", "--format", "jsonl", "--corpus", "{loop}"], "corpus file"),
+            (["context", "--corpus", "{dir}", "--config", "{loop}", "rock"], "config file"),
+            (["context", "--corpus", "{dir}", "--stopwords", "{loop}", "rock"], "stopwords file"),
+        ],
+        ids=["index-corpus-entry", "index-jsonl-corpus", "context-config", "context-stopwords"],
+    )
+    def test_symlink_loop_is_one_error_line_naming_its_kind(self, tmp_path, capsys, argv, kind):
+        # A file the system refuses to read for another reason, such as EACCES, takes the same message;
+        # it is not tested, since the superuser reads a file whatever its permissions.
+        corpus = write_corpus(tmp_path, FIXTURE)
+        loop = (tmp_path if "{loop}" in argv else corpus) / "loop.txt"  # named, or an entry of the corpus
+        loop.symlink_to(loop)
+        code, out, err = run_cli(capsys, [arg.format(dir=corpus, loop=loop) for arg in argv])
+        assert (code, out, err) == (1, "", f"error: {kind} cannot be read: {loop} ({os.strerror(errno.ELOOP)})\n")
+
+    def test_config_read_from_a_pipe(self, tmp_path, capsys):
+        # As ``--config <(echo ...)`` gives it: a named path that is a pipe, not a regular file.
+        corpus = write_corpus(tmp_path, FIXTURE)
+        result = subprocess.run(
+            [sys.executable, "-m", "termspace", "snippets", "--corpus", str(corpus), "--config", "/dev/stdin", "rock"],
+            input='{"window": 1}',
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        code, out, _ = run_cli(capsys, ["snippets", "--corpus", str(corpus), "--window", "1", "rock"])
+        assert (result.returncode, result.stderr, result.stdout) == (code, "", out) and code == 0
 
     @pytest.mark.parametrize(
         "argv, kind",

@@ -1034,3 +1034,56 @@ class TestWeightsView:
         other = WordGraph(vertices=("a", "b"), weights={("a", "b"): Fraction(1)})
         with pytest.raises(ValueError, match="^graph must carry exactly one weight per sorted vertex pair$"):
             WordGraph(vertices=("x", "y"), weights=other.weights)
+
+
+def kept_subsets(rng, vertices):
+    """Vertex subsets a cluster may keep: all, none, one, the first, the last, every other one, and random ones."""
+    subsets = [vertices, (), (rng.choice(vertices),), vertices[:1], vertices[-1:], vertices[::2], vertices[1::2]]
+    return subsets + [tuple(v for v in vertices if rng.random() < p) for p in (0.2, 0.5, 0.8)]
+
+
+class TestClusterRows:
+    """A cluster's graph is cut from its parent's rows of codes: every kept pair keeps its parent's weight object."""
+
+    def assert_cut(self, graph, kept):
+        ctx = context_of({v: (int(v in kept), 1) for v in graph.vertices})
+        sub = micro_cluster(graph, ctx, 1).graph
+        pairs = list(combinations(sorted(kept), 2))
+        assert sub.vertices == tuple(sorted(kept)) and list(sub.weights) == pairs
+        got, want = list(sub.weights.values()), [graph.weights[p] for p in pairs]
+        assert got == want and all(a is b for a, b in zip(got, want))
+
+    def test_built_graphs(self):
+        rng = random.Random(131)
+        for _, graph in built_graphs(131, 30):
+            for kept in kept_subsets(rng, graph.vertices):
+                self.assert_cut(graph, kept)
+
+    def test_the_cut_reads_each_kept_row_and_nothing_more(self):
+        # ``compress`` stops at the end of the keep mask, so a slice past the row's end gives the same
+        # cluster; only this read count shows that it copies codes for nothing.
+        class Rows(list):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    read.append(len(range(*key.indices(len(self)))))
+                return super().__getitem__(key)
+
+        rng, read = random.Random(139), []
+        for _, built in built_graphs(139, 10):
+            vertices, weights = built.vertices, built.weights
+            graph = WordGraph(vertices=vertices, weights=_PairWeights(vertices, Rows(weights.codes), weights.table))
+            for kept in kept_subsets(rng, vertices):
+                read.clear()
+                self.assert_cut(graph, kept)
+                assert read == [len(vertices) - 1 - vertices.index(v) for v in sorted(kept)]
+
+    @pytest.mark.parametrize("values", ["ties", "spread"])
+    def test_hand_built_graphs(self, values):
+        rng = random.Random(137)
+        spread = (lambda: Fraction(rng.randint(0, 60), rng.randint(1, 7)),)
+        for n in list(range(1, 10)) * 3:
+            vertices = tuple(f"v{i}" for i in range(n))
+            weights = hand_built_weights(rng, vertices, TIE_VALUES if values == "ties" else spread)
+            graph = WordGraph(vertices=vertices, weights=weights)
+            for kept in kept_subsets(rng, graph.vertices):
+                self.assert_cut(graph, kept)
