@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+RATIONAL_SPEC = ".12g"
+
 
 def rational_str(value: Fraction | float | int) -> str:
     """Render a rational as a decimal string with 12 significant digits."""
-    return format(float(value), ".12g")
+    return format(float(value), RATIONAL_SPEC)
 
 
 def count_value(value: int | float) -> int | str:

@@ -20,7 +20,7 @@ from math import copysign, inf, nan
 from operator import add, itemgetter
 
 from .engine import Index, Term
-from .jsonio import rational_str
+from .jsonio import RATIONAL_SPEC, rational_str
 from .triplet import Context
 
 MEASURES = ("doubleton_count", "jaccard")
@@ -43,23 +43,20 @@ class _Ratios(dict):
 
 
 class _PairWeights(Mapping):
-    """Read-only weights keyed by sorted vertex 2-tuple: ``table[code]``, one code per pair in pair order."""
+    """Read-only weights keyed by sorted vertex 2-tuple: ``table[code]``, ``rows[i]`` the codes of pairs (i, j > i)."""
 
-    def __init__(self, vertices: tuple[str, ...], codes: Sequence[int], table: _Ratios) -> None:
-        self.vertices, self.codes, self.table = vertices, codes, table
+    def __init__(self, vertices: tuple[str, ...], rows: Sequence[Sequence[int]], table: _Ratios) -> None:
+        self.vertices, self.rows, self.table = vertices, rows, table
         self.ordinal = {v: i for i, v in enumerate(vertices)}
-
-    def start(self, i: int) -> int:  # row i, the pairs of ordinals (i, j > i), follows rows of n - 1, ..., n - i codes
-        return i * (2 * len(self.vertices) - i - 1) // 2
 
     def __getitem__(self, pair: tuple[str, str]) -> Fraction:
         i, j = map(self.ordinal.get, pair) if isinstance(pair, tuple) and len(pair) == 2 else (None, None)
         if i is None or j is None or i >= j:
             raise KeyError(pair)
-        return self.table[self.codes[self.start(i) + j - i - 1]]
+        return self.table[self.rows[i][j - i - 1]]
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return sum(map(len, self.rows))
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return combinations(self.vertices, 2)
@@ -87,8 +84,8 @@ class WordGraph:
 
     Validation of a mapping makes no set of pairs: mapping keys are unique,
     so a mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
-    holds nothing else. Its weights become codes over one table, as a built
-    graph's are, so one sign check over ints serves every graph; NaN, a
+    holds nothing else. Its weights become rows of codes over one table, as
+    a built graph's are, so one sign check over ints serves every graph; NaN, a
     non-number, and a weight outside float range other than 0 are rejected.
     """
 
@@ -105,10 +102,11 @@ class WordGraph:
         if len(weights) != n * (n - 1) // 2 or not (built or all(map(weights.__contains__, combinations(vertices, 2)))):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
         if not built:
-            ratios = list(map(_ratio, map(weights.__getitem__, combinations(vertices, 2))))
-            table = _Ratios(1 + max((q for _, q in ratios), default=1))
-            object.__setattr__(self, "weights", _PairWeights(vertices, [p * table.base + q for p, q in ratios], table))
-        if min(self.weights.codes, default=0) < 0:  # a code has its weight's sign
+            ratios = [[_ratio(weights[a, b]) for b in vertices[i + 1 :]] for i, a in enumerate(vertices)]
+            table = _Ratios(1 + max((q for row in ratios for _, q in row), default=1))
+            rows = [[p * table.base + q for p, q in row] for row in ratios]
+            object.__setattr__(self, "weights", _PairWeights(vertices, rows, table))
+        if min(map(min, filter(None, self.weights.rows)), default=0) < 0:  # a code has its weight's sign
             raise ValueError("edge weights must be non-negative")
 
     def weight(self, a: str, b: str) -> Fraction:
@@ -117,10 +115,12 @@ class WordGraph:
     def edges(self) -> list[Edge]:
         """Edges as (a, b, weight) triples in lexicographic order.
 
-        The pairs of the sorted vertex tuple come in sorted order, so
-        nothing is sorted.
+        Row i holds the pairs of vertex i with each vertex after it, and the
+        vertex tuple is sorted, so nothing is sorted.
         """
-        return [(a, b, w) for (a, b), w in zip(self.weights, map(self.weights.table.__getitem__, self.weights.codes))]
+        vertices, table = self.vertices, self.weights.table
+        rows = enumerate(zip(vertices, self.weights.rows))
+        return [e for i, (a, row) in rows for e in zip(repeat(a), vertices[i + 1 :], map(table.__getitem__, row))]
 
 
 @dataclass(frozen=True)
@@ -201,14 +201,14 @@ def build_word_graph(ctx: Context, index: Index, measure: str = "jaccard") -> Wo
     documents = len(index.documents)
     bitsets = list(map(index.bitset, vertices))
     sizes = [b.bit_count() for b in bitsets]
-    codes: list[int] = []
+    rows: list[list[int]] = []
     for i, bits in enumerate(bitsets):
         inters = map(int.bit_count, map(bits.__and__, bitsets[i + 1 :]))
         if measure == "jaccard":  # inter * (documents + 1) + size_a + size_b - inter
-            codes += map(add, map(documents.__mul__, inters), map(sizes[i].__add__, sizes[i + 1 :]))
+            rows.append(list(map(add, map(documents.__mul__, inters), map(sizes[i].__add__, sizes[i + 1 :]))))
         else:  # a doubleton count is the intersection size over 1
-            codes += map(add, map((documents + 1).__mul__, inters), repeat(1))
-    return WordGraph(vertices=vertices, weights=_PairWeights(vertices, codes, _Ratios(documents + 1)))
+            rows.append(list(map(add, map((documents + 1).__mul__, inters), repeat(1))))
+    return WordGraph(vertices=vertices, weights=_PairWeights(vertices, rows, _Ratios(documents + 1)))
 
 
 def _threshold(alpha: Fraction | int | float | str) -> Fraction:
@@ -262,10 +262,9 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     if missing := sorted(set(retained).difference(graph.vertices)):
         raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
     weights, keep = graph.weights, list(map(set(retained).__contains__, graph.vertices))
-    sub_vertices, codes = tuple(compress(graph.vertices, keep)), []
-    for i in compress(range(len(keep)), keep):  # row i, cut to the retained vertices after i
-        codes += compress(weights.codes[weights.start(i) : weights.start(i + 1)], keep[i + 1 :])
-    graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, codes, weights.table))
+    rows = [list(compress(row, keep[i + 1 :])) for i, row in compress(enumerate(weights.rows), keep)]
+    sub_vertices = tuple(compress(graph.vertices, keep))
+    graph = WordGraph(vertices=sub_vertices, weights=_PairWeights(sub_vertices, rows, weights.table))
     return MicroCluster(graph=graph, words=retained, alpha=threshold)
 
 
@@ -353,20 +352,14 @@ def verify_theorem(tree: TreeCluster, full: MicroCluster, index: Index) -> bool:
 def graph_to_dot(graph: WordGraph) -> str:
     """DOT text with edge weights as labels, 6 decimal places.
 
-    Edges are listed in the lexicographic pair order of
-    :meth:`WordGraph.edges`. A label is formatted once per distinct weight
-    code, from its float, so no ``Fraction`` is made.
+    Edges follow :meth:`WordGraph.edges`, a row of codes at a time.
     """
-    vertices, codes, table = graph.vertices, graph.weights.codes, graph.weights.table
-    distinct = list(set(codes))
-    labels = dict(zip(distinct, [f'{x:.6f}"];\n' for x in table.floats(distinct)]))
-    tails = [f'"{v}" [label="' for v in vertices]
-    rows, in_order = [], map(labels.__getitem__, codes)
-    for i, a in enumerate(vertices[:-1]):  # row i holds the pairs (a, b) for the n - 1 - i words b after a
-        head = f'  "{a}" -- '
-        # ``map`` stops at the end of ``tails[i + 1 :]`` before it reads ``in_order``, so each row takes its own codes.
-        rows.append(head + head.join(map(str.__add__, tails[i + 1 :], in_order)))
-    return _dot(vertices, rows)
+    vertices, labels = graph.vertices, _labels(graph.weights, ".6f", '"];\n')
+    tails, lines = [f'"{v}" [label="' for v in vertices], []
+    for i, (a, row) in enumerate(zip(vertices[:-1], graph.weights.rows)):  # the last vertex's row is empty
+        head = f'  "{a}" -- '  # a piece of its own: ``head + head.join(...)`` would copy the row once more
+        lines += head, head.join(map(str.__add__, tails[i + 1 :], map(labels.__getitem__, row)))
+    return _dot(vertices, lines)
 
 
 def tree_to_dot(tree: TreeCluster) -> str:
@@ -380,21 +373,23 @@ def _dot(vertices: Sequence[str], edge_lines: Iterable[str], endpoints: Iterable
     return "".join(["graph {\n", *(f'  "{v}";\n' for v in vertices), *edge_lines, "}\n"])
 
 
-def _edges_dict(vertices: Sequence[str], edges: Sequence[Edge]) -> dict:
-    # ``edges`` come in lexicographic order.
-    return {
-        "vertices": list(vertices),
-        "edges": [{"a": a, "b": b, "weight": rational_str(w)} for a, b, w in edges],
-    }
+def _labels(weights: _PairWeights, spec: str, end: str = "") -> dict[int, str]:
+    """Each distinct code's float in the format ``spec``, then ``end``: made once per code, and no ``Fraction``."""
+    distinct = list(set().union(*weights.rows))
+    return dict(zip(distinct, [f"{x:{spec}}{end}" for x in weights.table.floats(distinct)]))
 
 
 def graph_to_dict(graph: WordGraph) -> dict:
-    """JSON-ready view: ``{vertices, edges: [{a, b, weight}]}``."""
-    return _edges_dict(graph.vertices, graph.edges())
+    """JSON-ready view: ``{vertices, edges: [{a, b, weight}]}`` in the pair order of :meth:`WordGraph.edges`."""
+    vertices, labels = graph.vertices, _labels(graph.weights, RATIONAL_SPEC)
+    rows = enumerate(zip(vertices, graph.weights.rows))
+    edges = [{"a": a, "b": b, "weight": labels[c]} for i, (a, row) in rows for b, c in zip(vertices[i + 1 :], row)]
+    return {"vertices": list(vertices), "edges": edges}
 
 
 def tree_to_dict(tree: TreeCluster) -> dict:
-    return _edges_dict(tree.vertices, sorted(tree.edges, key=itemgetter(0, 1)))
+    edges = [{"a": a, "b": b, "weight": rational_str(w)} for a, b, w in sorted(tree.edges, key=itemgetter(0, 1))]
+    return {"vertices": list(tree.vertices), "edges": edges}
 
 
 def shade_to_dict(shade: MirrorShade) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import json
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import inf
 
 import pytest
@@ -26,6 +27,7 @@ from termspace import (
     build_index,
     build_word_graph,
     extract_snippets,
+    graph_to_dict,
     graph_to_dot,
     micro_cluster,
     mirror_shade,
@@ -34,7 +36,8 @@ from termspace import (
     verify_theorem,
 )
 
-from termspace.microcluster import _PairWeights, _Ratios
+from termspace.jsonio import rational_str
+from termspace.microcluster import MEASURES, _PairWeights, _Ratios
 
 from conftest import random_corpus, random_present_term
 from oracles import (
@@ -729,8 +732,8 @@ class TestHandBuiltTrees:
         assert errors == {"tree words not in the cluster: ['zebra']", "mirror_shade words must be unique"}
 
 
-def built_graphs(seed, count):
-    """Relation graphs of random corpora, both measures, as the pipeline builds them."""
+def built_graphs(seed, count, measures=("jaccard", "doubleton_count")):
+    """Relation graphs of random corpora, each under a measure drawn from ``measures``, as the pipeline builds them."""
     rng = random.Random(seed)
     alphabet = tuple(f"w{i}" for i in range(12))
     graphs = []
@@ -742,7 +745,7 @@ def built_graphs(seed, count):
         index = build_index(corpus)
         lst = extract_snippets(index, Term(tuple(term_tokens)), window=rng.randint(1, 4))
         ctx = build_context(lst, index)
-        measure = rng.choice(["jaccard", "doubleton_count"])
+        measure = rng.choice(measures)
         graphs.append((ctx, build_word_graph(ctx, index, measure)))
     return graphs
 
@@ -770,6 +773,8 @@ TIE_VALUES = (
 
 # Other numbers a hand-built weight may be: each is read exactly, and 5e-324 renders as 0.
 DOT_VALUES = TIE_VALUES + (lambda: Decimal("0.1"), lambda: True, lambda: 5e-324)
+# The graph JSON prints 12 significant digits, so the largest power of two below float's limit is one more case.
+JSON_VALUES = DOT_VALUES + (lambda: 2.0**1023,)
 
 
 class TestWordGraphValidation:
@@ -833,7 +838,8 @@ class TestWordGraphValidation:
         assert graph.weights["a", "b"] is graph.weights["a", "c"] == Fraction(1, 3)
         assert graph.weights["b", "c"] is graph.weights["a", "d"] == Fraction(1, 2)
         assert graph.weights["b", "d"] is graph.weights["c", "d"] == 1
-        assert isinstance(graph.weights.table, _Ratios) and all(type(code) is int for code in graph.weights.codes)
+        assert isinstance(graph.weights.table, _Ratios)
+        assert all(type(code) is int for code in chain.from_iterable(graph.weights.rows))
 
     def test_key_that_is_not_a_pair_rejected(self):
         with pytest.raises(ValueError, match="sorted vertex pair"):
@@ -918,17 +924,28 @@ class TestTreeOrderMatchesReference:
             assert list(optimal_micro_cluster(mc).edges) == kruskal_edges(mc.graph.vertices, mc.graph.weights)
 
 
+def every_code_up_to_400_documents():
+    """Each ``(inter, union)`` a graph over 400 documents can hold, and the floats of their codes, then code 0's."""
+    # A code is inter * (documents + 1) + union; code 0 is the empty union, and a
+    # doubleton count is its intersection over a union of 1.
+    base = 401
+    pairs = [(inter, union) for union in range(1, base) for inter in range(union + 1)]
+    pairs += [(inter, 1) for inter in range(2, base)]
+    return pairs, _Ratios(base).floats([inter * base + union for inter, union in pairs] + [0])
+
+
 class TestLabelsFromCodes:
     def test_label_of_every_code_up_to_400_documents_equals_its_fraction_label(self):
-        # A code is inter * (documents + 1) + union; code 0 is the empty union, and a
-        # doubleton count is its intersection over a union of 1.
-        base = 401
-        pairs = [(inter, union) for union in range(1, base) for inter in range(union + 1)]
-        pairs += [(inter, 1) for inter in range(2, base)]
-        floats = _Ratios(base).floats([inter * base + union for inter, union in pairs] + [0])
+        pairs, floats = every_code_up_to_400_documents()
         assert f"{floats.pop():.6f}" == "0.000000"
         for (inter, union), x in zip(pairs, floats, strict=True):
             assert f"{x:.6f}" == f"{float(Fraction(inter, union)):.6f}"
+
+    def test_json_label_of_every_code_up_to_400_documents_equals_its_fraction_label(self):
+        pairs, floats = every_code_up_to_400_documents()
+        assert rational_str(floats.pop()) == "0"
+        for (inter, union), x in zip(pairs, floats, strict=True):
+            assert rational_str(x) == rational_str(Fraction(inter, union))
 
     @pytest.mark.parametrize("measure", ["jaccard", "doubleton_count"])
     def test_graphs_over_301_documents_render_as_reference_dot(self, measure):
@@ -945,12 +962,13 @@ class TestLabelsFromCodes:
         ctx = context_of({w: (Fraction(1, 2), 1) for w in ["all", "every", "even", "odd", *(f"w{k}" for k in range(12))]})
         graph = build_word_graph(ctx, index, measure)
         top = documents * (documents + 1) + (documents if measure == "jaccard" else 1)
-        assert max(graph.weights.codes) == top
+        assert max(chain.from_iterable(graph.weights.rows)) == top
         assert graph.weight("all", "every") == (1 if measure == "jaccard" else documents)
         assert graph.weight("even", "odd") == 0
         assert graph_to_dot(graph) == dot_text(graph.vertices, graph.edges())
         mc = micro_cluster(graph, ctx, 0)
         assert graph_to_dot(mc.graph) == dot_text(mc.graph.vertices, mc.graph.edges())
+        assert graph_to_dict(graph) == graph_dict_pair_by_pair(graph)
 
 
 def test_graph_over_20000_documents_reads_the_index_bitsets_in_little_memory():
@@ -1023,7 +1041,10 @@ class TestWeightsView:
 
     @pytest.mark.parametrize(
         "codes, message",
-        [([0, -1, 2], "edge weights must be non-negative"), ([0, 1], "graph must carry exactly one weight per sorted vertex pair")],
+        [
+            ([[0, -1], [2], []], "edge weights must be non-negative"),
+            ([[0], [1], []], "graph must carry exactly one weight per sorted vertex pair"),
+        ],
     )
     def test_codes_are_checked_by_count_and_sign(self, codes, message):
         vertices = ("a", "b", "c")
@@ -1042,12 +1063,16 @@ def kept_subsets(rng, vertices):
     return subsets + [tuple(v for v in vertices if rng.random() < p) for p in (0.2, 0.5, 0.8)]
 
 
+def cut(graph, kept):
+    """The graph of the cluster that keeps the vertices ``kept`` of ``graph``."""
+    return micro_cluster(graph, context_of({v: (int(v in kept), 1) for v in graph.vertices}), 1).graph
+
+
 class TestClusterRows:
     """A cluster's graph is cut from its parent's rows of codes: every kept pair keeps its parent's weight object."""
 
     def assert_cut(self, graph, kept):
-        ctx = context_of({v: (int(v in kept), 1) for v in graph.vertices})
-        sub = micro_cluster(graph, ctx, 1).graph
+        sub = cut(graph, kept)
         pairs = list(combinations(sorted(kept), 2))
         assert sub.vertices == tuple(sorted(kept)) and list(sub.weights) == pairs
         got, want = list(sub.weights.values()), [graph.weights[p] for p in pairs]
@@ -1060,18 +1085,17 @@ class TestClusterRows:
                 self.assert_cut(graph, kept)
 
     def test_the_cut_reads_each_kept_row_and_nothing_more(self):
-        # ``compress`` stops at the end of the keep mask, so a slice past the row's end gives the same
-        # cluster; only this read count shows that it copies codes for nothing.
-        class Rows(list):
-            def __getitem__(self, key):
-                if isinstance(key, slice):
-                    read.append(len(range(*key.indices(len(self)))))
-                return super().__getitem__(key)
+        # A cut that also walked the dropped rows would give the same cluster; only this count of the
+        # rows iterated, with their lengths, shows that it reads codes for nothing.
+        class Row(list):
+            def __iter__(self):
+                read.append(len(self))
+                return super().__iter__()
 
         rng, read = random.Random(139), []
         for _, built in built_graphs(139, 10):
             vertices, weights = built.vertices, built.weights
-            graph = WordGraph(vertices=vertices, weights=_PairWeights(vertices, Rows(weights.codes), weights.table))
+            graph = WordGraph(vertices=vertices, weights=_PairWeights(vertices, list(map(Row, weights.rows)), weights.table))
             for kept in kept_subsets(rng, vertices):
                 read.clear()
                 self.assert_cut(graph, kept)
@@ -1087,3 +1111,58 @@ class TestClusterRows:
             graph = WordGraph(vertices=vertices, weights=weights)
             for kept in kept_subsets(rng, graph.vertices):
                 self.assert_cut(graph, kept)
+
+
+def assert_rows(graph):
+    """Row i of a graph's codes holds one code for each of the n - 1 - i vertices after vertex i."""
+    n = len(graph.vertices)
+    assert [len(row) for row in graph.weights.rows] == list(range(n - 1, -1, -1))
+
+
+class TestRowShape:
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_built_graphs_and_their_cuts(self, measure):
+        rng = random.Random(149)
+        for _, graph in built_graphs(149, 15, (measure,)):
+            assert_rows(graph)
+            for kept in kept_subsets(rng, graph.vertices):
+                assert_rows(cut(graph, kept))
+
+    def test_hand_built_graphs(self):
+        rng = random.Random(151)
+        for n in range(10):  # from the empty graph and the one-vertex graph up
+            vertices = tuple(f"v{i}" for i in range(n))
+            graph = WordGraph(vertices=vertices, weights=hand_built_weights(rng, vertices, TIE_VALUES))
+            assert_rows(graph)
+            for kept in kept_subsets(rng, vertices) if n else ():
+                assert_rows(cut(graph, kept))
+
+
+def graph_dict_pair_by_pair(graph):
+    """The graph JSON as each pair's ``Fraction`` gives it: one ``rational_str`` per edge."""
+    edges = [{"a": a, "b": b, "weight": rational_str(w)} for a, b, w in graph.edges()]
+    return {"vertices": list(graph.vertices), "edges": edges}
+
+
+class TestGraphJson:
+    """The graph JSON labels each distinct code once, and prints what one label per pair printed."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_built_graphs_and_their_cuts(self, measure):
+        rng = random.Random(157)
+        for _, graph in built_graphs(157, 15, (measure,)):
+            for sub in [graph, *(cut(graph, kept) for kept in kept_subsets(rng, graph.vertices))]:
+                assert json.dumps(graph_to_dict(sub)) == json.dumps(graph_dict_pair_by_pair(sub))
+
+    def test_hand_built_graphs(self):
+        values = [Fraction(1, 3), Fraction(2, 6), 5e-324, 2.0**1023, Decimal("0.1"), True, 0, Fraction(7, 5), 1, 0.5]
+        vertices = ("a", "b", "c", "d", "e")
+        graph = WordGraph(vertices=vertices, weights=dict(zip(combinations(vertices, 2), values, strict=True)))
+        assert [e["weight"] for e in graph_to_dict(graph)["edges"]] == [
+            "0.333333333333", "0.333333333333", "4.94065645841e-324", "8.98846567431e+307", "0.1", "1", "0", "1.4", "1", "0.5"
+        ]
+        rng = random.Random(163)
+        for n in list(range(10)) * 3:
+            vertices = tuple(f"v{i}" for i in rng.sample(range(20), n))
+            graph = WordGraph(vertices=vertices, weights=hand_built_weights(rng, vertices, JSON_VALUES))
+            assert json.dumps(graph_to_dict(graph)) == json.dumps(graph_dict_pair_by_pair(graph))
