@@ -36,6 +36,7 @@ from .microcluster import (
     MicroCluster,
     TreeCluster,
     WordGraph,
+    _retained,
     _threshold,
     build_word_graph,
     graph_to_dict,
@@ -203,9 +204,9 @@ def _write(text: str, out: str | Path | None = None) -> None:
         tmp.unlink(missing_ok=True)  # gone already after a successful rename
 
 
-def _shades(mc: MicroCluster, index: Index) -> dict:
+def _shades(words: tuple[str, ...], index: Index) -> dict:
     # A tree keeps its cluster's words (``optimal_micro_cluster``), so one shade serves both.
-    shade = None if mc.is_empty else shade_to_dict(mirror_shade(mc.words, index))
+    shade = shade_to_dict(mirror_shade(words, index)) if words else None
     return {"cluster": shade, "tree": shade}
 
 
@@ -238,9 +239,9 @@ def _cluster_payload(run: Run, _) -> dict:
     }
 
 
-def _shade_payload(run: Run, _) -> dict:
-    mc = run.cluster
-    return {"alpha": rational_str(mc.alpha), "empty": mc.is_empty, **_shades(mc, run.index)}
+def _shade_payload(run: Run, _) -> dict:  # the cluster's words, read from the context: no graph is built
+    words = _retained(run.context, run.alpha)
+    return {"alpha": rational_str(run.alpha), "empty": not words, **_shades(words, run.index)}
 
 
 # command -> (its help, its stdout payload from the run and the arguments)
@@ -279,7 +280,7 @@ def run_pipeline(run: Run) -> dict[str, str]:
         artifacts["graph.dot"] = graph_to_dot(run.graph)
     if tree is not None:
         artifacts["tree.dot"] = tree_to_dot(tree)
-        shades = _shades(mc, run.index)
+        shades = _shades(mc.words, run.index)
         artifacts["shade.json"] = dump_json(shades)
     artifacts["report.json"] = dump_json({
         "term": snippets.term.text,

@@ -82,11 +82,11 @@ class WordGraph:
     identity). ``weights`` is a read-only mapping keyed by the sorted word
     pair; its values are ``Fraction``s, and equal weights share one object.
 
-    Validation of a mapping makes no set of pairs: mapping keys are unique,
-    so a mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair
-    holds nothing else. Its weights become rows of codes over one table, as
-    a built graph's are, so one sign check over ints serves every graph; NaN, a
-    non-number, and a weight outside float range other than 0 are rejected.
+    A mapping with ``n(n-1)/2`` keys that holds every sorted vertex pair holds
+    nothing else, as keys are unique, so no set of pairs is made. NaN, a
+    non-number, a weight outside float range other than 0, and then a negative
+    one are rejected as its weights become rows of codes over one table. Rows
+    built or cut by this module, checked when they were made, are not read again.
     """
 
     vertices: tuple[str, ...]
@@ -98,16 +98,16 @@ class WordGraph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("graph vertices must be unique")
         n, weights = len(vertices), self.weights
-        built = isinstance(weights, _PairWeights) and weights.vertices == vertices  # skips n(n-1)/2 key reads below
-        if len(weights) != n * (n - 1) // 2 or not (built or all(map(weights.__contains__, combinations(vertices, 2)))):
+        if isinstance(weights, _PairWeights) and weights.vertices == vertices:  # rows built or cut here, checked then
+            return
+        if len(weights) != n * (n - 1) // 2 or not all(map(weights.__contains__, combinations(vertices, 2))):
             raise ValueError("graph must carry exactly one weight per sorted vertex pair")
-        if not built:
-            ratios = [[_ratio(weights[a, b]) for b in vertices[i + 1 :]] for i, a in enumerate(vertices)]
-            table = _Ratios(1 + max((q for row in ratios for _, q in row), default=1))
-            rows = [[p * table.base + q for p, q in row] for row in ratios]
-            object.__setattr__(self, "weights", _PairWeights(vertices, rows, table))
-        if min(map(min, filter(None, self.weights.rows)), default=0) < 0:  # a code has its weight's sign
+        ratios = [[_ratio(weights[a, b]) for b in vertices[i + 1 :]] for i, a in enumerate(vertices)]
+        table = _Ratios(1 + max((q for row in ratios for _, q in row), default=1))
+        rows = [[p * table.base + q for p, q in row] for row in ratios]
+        if min(map(min, filter(None, rows)), default=0) < 0:  # a code has its weight's sign
             raise ValueError("edge weights must be non-negative")
+        object.__setattr__(self, "weights", _PairWeights(vertices, rows, table))
 
     def weight(self, a: str, b: str) -> Fraction:
         return self.weights[(a, b) if a < b else (b, a)]
@@ -248,6 +248,10 @@ def _threshold(alpha: Fraction | int | float | str) -> Fraction:
     return Fraction(value)
 
 
+def _retained(ctx: Context, threshold: Fraction) -> tuple[str, ...]:  # a cluster's words, all its shade reads
+    return tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
+
+
 def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float | str) -> MicroCluster:
     """Retain the context words whose weight is at least ``alpha``.
 
@@ -258,7 +262,7 @@ def micro_cluster(graph: WordGraph, ctx: Context, alpha: Fraction | int | float 
     follows: ``0.1`` is 1/10, and 1e400 is rejected.
     """
     threshold = _threshold(alpha)
-    retained = tuple(w for w in ctx.nu_order if ctx.words[w].nu >= threshold)
+    retained = _retained(ctx, threshold)
     if missing := sorted(set(retained).difference(graph.vertices)):
         raise ValueError(f"cluster words {missing} are not graph vertices; the graph must hold each sorted vertex pair")
     weights, keep = graph.weights, list(map(set(retained).__contains__, graph.vertices))

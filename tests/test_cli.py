@@ -1154,8 +1154,9 @@ GOLDEN_OUTPUTS = [
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_OUTPUTS, ids=[" ".join(a) for a, _ in GOLDEN_OUTPUTS])
 def test_command_output_digests_match_recorded(tmp_path, capsys, monkeypatch, argv, expected):
-    if argv[0] == "shade":  # a tree keeps its cluster's words, so the shade is read from the cluster
-        monkeypatch.setattr(cli, "optimal_micro_cluster", lambda mc: pytest.fail("shade built a tree"))
+    if argv[0] == "shade":  # a tree keeps its cluster's words, so the shade reads them from the context alone
+        for name in ("build_word_graph", "micro_cluster", "optimal_micro_cluster"):
+            monkeypatch.setattr(cli, name, lambda *args, _name=name: pytest.fail(f"shade called {_name}"))
     corpus = write_corpus(tmp_path, golden_corpus())
     stopwords = tmp_path / "stopwords.txt"
     stopwords.write_text("the\nof\nand\na\n", encoding="utf-8")
@@ -1203,7 +1204,7 @@ LAST_STAGE_BUILT = {
     ("snippets", "rock"): "extract_snippets",
     ("context", "rock"): "build_context",
     ("cluster", "rock"): "optimal_micro_cluster",
-    ("shade", "rock"): "micro_cluster",
+    ("shade", "rock"): "build_context",
     ("pipeline", "rock"): "optimal_micro_cluster",
 }
 
