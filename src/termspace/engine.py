@@ -105,20 +105,22 @@ class _IdTable(tuple):
 
 @dataclass(frozen=True)
 class Index:
-    """Immutable inverted index: the document universe plus positional postings.
+    """Immutable inverted index: the document universe plus postings.
 
     ``documents`` maps each document id to its tokens (maybe none), and
-    ``postings`` each token to the documents containing it, each with an
-    ``int`` mask of its positions there, bit ``p`` for position ``p``
-    (:func:`build_index` gives its size, and the masks that share one ``int``).
-    The sorted ``table`` of ids and each token's :meth:`bitset` over it are
-    made when first read and kept; every fill stores the same value and no
-    mask changes once made, so an index is safe to share across threads.
+    ``postings`` each token to the ids of the documents holding it, in corpus
+    order. The sorted ``table`` of ids, each token's :meth:`bitset` over it,
+    each token's :meth:`masks` and a document's masks, which exist only for
+    the documents read, are made when first read and kept. Each is stored
+    once complete, every fill stores the same value and no mask changes once
+    made, so an index is safe to share across threads.
     """
 
     documents: Mapping[str, tuple[str, ...]]
-    postings: Mapping[str, Mapping[str, int]]
+    postings: Mapping[str, tuple[str, ...]]
     _bitsets: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _masks: dict[str, dict[str, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _doc_masks: dict[str, dict[str, int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def table(self) -> _IdTable:
@@ -133,6 +135,17 @@ class Index:
                 self._bitsets.clear()
             bits = self._bitsets[token] = self.table.bits(self.postings.get(token, ()))
         return bits
+
+    def masks(self, token: str) -> dict[str, int]:
+        """Each document of ``postings[token]``, in that order, mapped to the token's position mask there, bit ``p``
+        for position ``p``. A document's masks are built by :func:`_position_masks` when a token of it is first read."""
+        masks = self._masks.get(token)
+        if masks is None and token in self.postings:  # an absent token's empty dict is not kept
+            masks = self._masks[token] = {  # a document's dict is never empty: it holds ``token``
+                d: (self._doc_masks.get(d) or self._doc_masks.setdefault(d, _position_masks(self.documents[d])))[token]
+                for d in self.postings[token]
+            }
+        return masks or {}
 
     @property
     def total_tokens(self) -> int:
@@ -219,26 +232,26 @@ def build_index(corpus: Iterable[tuple[str, str]]) -> Index:
     """Index a corpus of ``(id, raw text)`` pairs.
 
     Ids must be unique; a duplicate is rejected by name. Documents are
-    tokenized with :func:`tokenize` and postings record every occurrence
-    position as one ``int`` mask per (token, document), bit ``p`` set for
-    each position ``p``. Tokens keep their order of first occurrence and
-    documents their corpus order. The documents' tokens and the postings'
-    keys share one ``str`` per distinct token, so a document's tuple costs
-    one pointer a token; most one-position masks share one ``int`` too. A
-    mask has as many bits as its token's last position: a document costs
-    about (distinct tokens x length / 2) bits, against 36 bytes a token as tuples.
+    tokenized with :func:`tokenize`, and each token's postings are the ids
+    of the documents holding it, as one tuple. Tokens keep their order of
+    first occurrence and documents their corpus order. The documents'
+    tokens and the postings' keys share one ``str`` per distinct token, so
+    a document's tuple costs one pointer a token. No position is recorded
+    here: :meth:`Index.masks` builds a document's masks when it is first
+    read, and a read document costs about (distinct tokens x length / 2)
+    bits, against 36 bytes a token as tuples.
     """
     documents: dict[str, tuple[str, ...]] = {}
-    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
+    postings: defaultdict[str, list[str]] = defaultdict(list)
     words: dict[str, str] = {}  # each token's first ``str``; not ``sys.intern``, whose strings may never be freed
     for doc_id, text in corpus:
         if doc_id in documents:
             raise ValueError(f"duplicate document id: {doc_id!r}")
         found = tokenize(text)
         tokens = documents[doc_id] = tuple(map(words.setdefault, found, found))
-        for tok, mask in _position_masks(tokens).items():
-            postings[tok][doc_id] = mask
-    return Index(documents=documents, postings=dict(postings))
+        for tok in dict.fromkeys(tokens):
+            postings[tok].append(doc_id)
+    return Index(documents=documents, postings={tok: tuple(ids) for tok, ids in postings.items()})
 
 
 def _position_masks(tokens: Sequence[str]) -> dict[str, int]:
@@ -282,7 +295,7 @@ def _phrase_masks(index: Index, tokens: Sequence[str], bits: int) -> dict[str, i
     a bitset over ``index.table`` such as the AND of the tokens' bitsets, must hold every token.
     """
     docs = _select(index.table, bits)
-    first, *rest = [index.postings.get(tok, {}) for tok in tokens]
+    first, *rest = map(index.masks, tokens)
     if not rest:
         return {d: first[d] for d in docs}
     second = rest[0]  # the first two tokens in one pass: no dict of the first token's masks is built

@@ -300,9 +300,11 @@ def optimal_micro_cluster(mc: MicroCluster) -> TreeCluster:
     """
     if mc.is_empty:
         raise ValueError("optimal_micro_cluster needs at least one vertex")
-    # ``edges()`` is in lexicographic order and the sort is stable (also
-    # with ``reverse``), so equal weights keep that order.
-    ordered = sorted(mc.graph.edges(), key=itemgetter(2), reverse=True)
+    # Exact: each weight is p/q with q < base, so unequal weights differ by more than 1/base**2 and their
+    # ``w * base**2`` by more than 1, floors too (so would any higher power). ``edges()`` is in lexicographic
+    # order and the sort is stable (also with ``reverse``): equal weights share a key and keep that order.
+    scale = mc.graph.weights.table.base ** 2
+    ordered = sorted(mc.graph.edges(), key=lambda e: e[2].numerator * scale // e[2].denominator, reverse=True)
     kept = tuple(_forest(mc.graph.vertices, ordered))
     return TreeCluster(vertices=mc.graph.vertices, edges=kept, words=mc.words)
 

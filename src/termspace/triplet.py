@@ -128,7 +128,7 @@ def build_context(
     multiple of the ``2 * length`` denominators. The cost is linear in the
     snippet words plus words times distinct lengths, and the result equals
     :func:`word_weight`, which rescans every snippet for every word. The
-    document count is the size of the word's postings map.
+    document count is the length of the word's postings.
     """
     if snippet_list.n == 0:
         raise ValueError("cannot build a context from an empty snippet list")
@@ -148,7 +148,7 @@ def build_context(
         w: WordStat(word=w, nu=Fraction(numerators[w], denominator), mu=len(index.postings.get(w, ())))
         for w in sorted(vocabulary)
     }
-    nu_order = tuple(sorted(stats, key=lambda w: (-stats[w].nu, w)))
+    nu_order = tuple(sorted(stats, key=lambda w: (-numerators[w], w)))  # every ``nu`` is over one denominator
     mu_order = tuple(sorted(stats, key=lambda w: (-stats[w].mu, w)))
     return Context(term=snippet_list.term, words=stats, nu_order=nu_order, mu_order=mu_order)
 

@@ -9,6 +9,7 @@ import random
 import string
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,8 +164,9 @@ class TestBuildIndex:
 
     def test_postings_positions(self):
         index = build_index([("D1", "a b"), ("D2", "b")])
-        assert {d: mask_positions(m) for d, m in index.postings["a"].items()} == {"D1": (0,)}
-        assert {d: mask_positions(m) for d, m in index.postings["b"].items()} == {"D1": (1,), "D2": (0,)}
+        assert index.postings == {"a": ("D1",), "b": ("D1", "D2")}
+        assert {d: mask_positions(m) for d, m in index.masks("a").items()} == {"D1": (0,)}
+        assert {d: mask_positions(m) for d, m in index.masks("b").items()} == {"D1": (1,), "D2": (0,)}
 
     def test_documents_holds_every_document(self):
         corpus = [(f"doc{i}", "filler text") for i in range(1000)]
@@ -182,8 +184,8 @@ class TestBuildIndex:
             corpus = random_corpus(rng)
             index = build_index(corpus)
             visited = 0
-            for token, docs in index.postings.items():
-                for doc_id, mask in docs.items():
+            for token in index.postings:
+                for doc_id, mask in index.masks(token).items():
                     for pos in mask_positions(mask):
                         assert index.documents[doc_id][pos] == token
                         visited += 1
@@ -194,8 +196,8 @@ def as_brute_index(index):
     """``index`` in the shape of :func:`oracles.brute_index`: ordered lists, masks decoded to position lists."""
     documents = [(doc_id, list(tokens)) for doc_id, tokens in index.documents.items()]
     postings = [
-        (tok, [(doc_id, list(mask_positions(mask))) for doc_id, mask in docs.items()])
-        for tok, docs in index.postings.items()
+        (tok, [(doc_id, list(mask_positions(mask))) for doc_id, mask in index.masks(tok).items()])
+        for tok in index.postings
     ]
     return documents, postings
 
@@ -206,8 +208,9 @@ class TestIndexOracle:
     def assert_matches_oracle(self, corpus):
         index = build_index(corpus)
         assert as_brute_index(index) == brute_index(corpus)
-        for docs in index.postings.values():
-            assert all(type(mask) is int for mask in docs.values())
+        for tok, docs in index.postings.items():  # the id tuples hold the masks' documents, in their order
+            assert type(docs) is tuple and tuple(index.masks(tok)) == docs
+            assert all(type(mask) is int for mask in index.masks(tok).values())
 
     def test_random_corpora_match_oracle(self):
         rng = random.Random(41)
@@ -235,9 +238,9 @@ class TestIndexOracle:
         # Bit 300 is past the ints CPython caches, so equal masks are one object only when the index shares it.
         text = " ".join(["w0"] * 300 + ["solo", "w0", "pair", "pair"])
         first, second = build_index([("a", text), ("b", text)]), build_index([("c", text)])
-        assert first.postings["solo"]["a"] is first.postings["solo"]["b"] is second.postings["solo"]["c"]
-        assert first.postings["solo"]["a"] == 1 << 300
-        assert first.postings["pair"]["a"] == first.postings["pair"]["b"] == 0b11 << 302
+        assert first.masks("solo")["a"] is first.masks("solo")["b"] is second.masks("solo")["c"]
+        assert first.masks("solo")["a"] == 1 << 300
+        assert first.masks("pair")["a"] == first.masks("pair")["b"] == 0b11 << 302
 
     def test_random_mixed_case_and_non_ascii_corpora_match_oracle(self):
         rng = random.Random(43)
@@ -258,14 +261,14 @@ class TestIndexOracle:
     def test_token_repeated_within_a_document(self):
         corpus = [("d1", "go stop go go"), ("d2", "stop go")]
         index = build_index(corpus)
-        assert {d: mask_positions(m) for d, m in index.postings["go"].items()} == {"d1": (0, 2, 3), "d2": (1,)}
+        assert {d: mask_positions(m) for d, m in index.masks("go").items()} == {"d1": (0, 2, 3), "d2": (1,)}
         assert list(index.postings) == ["go", "stop"]
         self.assert_matches_oracle(corpus)
 
     def test_non_ascii_token(self):
         corpus = [("d1", "Émile ate CRÊPES"), ("d2", "crêpes à Paris")]
         index = build_index(corpus)
-        assert {d: mask_positions(m) for d, m in index.postings["crêpes"].items()} == {"d1": (2,), "d2": (0,)}
+        assert {d: mask_positions(m) for d, m in index.masks("crêpes").items()} == {"d1": (2,), "d2": (0,)}
         assert list(index.postings) == ["émile", "ate", "crêpes", "à", "paris"]
         self.assert_matches_oracle(corpus)
 
@@ -286,8 +289,80 @@ class TestIndexOracle:
             documents, postings = brute_index(corpus)
             assert index == Index(
                 documents={doc_id: tuple(tokens) for doc_id, tokens in documents},
-                postings={tok: {d: sum(1 << p for p in where) for d, where in docs} for tok, docs in postings},
+                postings={tok: tuple(d for d, _ in docs) for tok, docs in postings},
             )
+
+
+@pytest.fixture
+def built_masks(monkeypatch):
+    """The token tuples of the documents whose masks ``engine._position_masks`` builds, in call order."""
+    calls, build = [], engine._position_masks
+
+    def counting(tokens):
+        calls.append(tokens)
+        return build(tokens)
+
+    monkeypatch.setattr(engine, "_position_masks", counting)
+    return calls
+
+
+class TestLazyMasks:
+    """Position masks are built for a document when a token of it is first read, never by ``build_index``."""
+
+    CORPUS = [("a", "rock on the rock face"), ("b", "rain on the rock"), ("c", "sun and rain"), ("d", "the trail")]
+
+    def test_build_index_builds_no_mask(self, built_masks):
+        rng = random.Random(59)
+        from conftest import random_corpus
+
+        for _ in range(20):
+            index = build_index(random_corpus(rng))
+            for tok in index.postings:  # a word's event is its bitset: still no mask
+                singleton(index, tok)
+        assert built_masks == []
+
+    def test_snippets_of_a_word_build_its_documents_masks_once(self, built_masks):
+        index = build_index(self.CORPUS)
+        first = extract_snippets(index, "rock", 2)
+        assert built_masks == [index.documents["a"], index.documents["b"]]
+        assert extract_snippets(index, "rock", 2) == first
+        assert len(built_masks) == 2
+        # "rain" is in b, whose masks are kept, and in c, the one document built now.
+        extract_snippets(index, "rain", 2)
+        assert built_masks[2:] == [index.documents["c"]]
+
+    def test_a_token_dict_is_kept_and_an_absent_token_is_not(self):
+        index = build_index(self.CORPUS)
+        assert index.masks("rock") is index.masks("rock")
+        assert index.masks("zebra") == {} and singleton(index, "rock zebra").cardinality == 0
+        assert "zebra" not in index._masks
+
+    def test_concurrent_first_reads_agree(self):
+        rng = random.Random(61)
+        alphabet = tuple(f"w{i}" for i in range(6))
+        corpus = [(f"d{i:02d}", " ".join(rng.choices(alphabet, k=rng.randint(0, 300)))) for i in range(40)]
+        terms = [f"{a} {b}" for a in alphabet for b in alphabet] + list(alphabet)
+        alone = build_index(corpus)
+        expected = {t: singleton(alone, t) for t in terms}, {tok: alone.masks(tok) for tok in alphabet}
+        shared, results = build_index(corpus), [None] * 8
+
+        def read(k):  # each thread walks the terms from its own start
+            order = terms[5 * k :] + terms[: 5 * k]
+            events = {t: singleton(shared, t) for t in order}
+            results[k] = events, {tok: shared.masks(tok) for tok in alphabet}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in results)
 
 
 @pytest.fixture(params=[True, False], ids=["collector_enabled", "collector_disabled"])

@@ -911,20 +911,58 @@ class TestEdgeOrderAndDot:
             assert all(mc.graph.weights[pair] is w for pair, w in expected.items())
 
 
+# Ties across types and the closest unequal neighbours a float or ``Decimal`` weight brings: 1/10 and the
+# float 0.1 differ by 2**-55 / 10, and a table over such denominators has a base past 2**1074.
+EXACT_VALUES = TIE_VALUES + (
+    lambda: 0.5,
+    lambda: Decimal("0.5"),
+    lambda: Fraction(1, 10),
+    lambda: 0.1,
+    lambda: Decimal("0.1"),
+    lambda: Decimal("0.1000000000000000000001"),
+    lambda: 5e-324,
+    lambda: 2.0**1023,
+)
+
+
+def assert_tree_matches_references(graph):
+    """The tree of the whole graph keeps Kruskal's edges in order, of the largest total when the graph is small."""
+    tree = optimal_micro_cluster(MicroCluster(graph=graph, words=graph.vertices, alpha=Fraction(0)))
+    weights = {pair: Fraction(w) for pair, w in graph.weights.items()}
+    assert list(tree.edges) == kruskal_edges(graph.vertices, weights)
+    if 1 < len(graph.vertices) <= 6:
+        assert sum((w for _, _, w in tree.edges), Fraction(0)) == max_spanning_total(graph.vertices, graph.weight)
+
+
 class TestTreeOrderMatchesReference:
     def test_distinct_tie_objects_keep_reference_order(self):
         rng = random.Random(97)
-        for _ in range(40):
-            vertices = tuple(f"v{i}" for i in range(rng.randint(1, 9)))
-            weights = hand_built_weights(rng, vertices, TIE_VALUES)
-            graph = WordGraph(vertices=vertices, weights=weights)
-            tree = optimal_micro_cluster(MicroCluster(graph=graph, words=vertices, alpha=Fraction(0)))
-            assert list(tree.edges) == kruskal_edges(vertices, weights)
+        for values in (TIE_VALUES, EXACT_VALUES):
+            for _ in range(40):
+                vertices = tuple(f"v{i}" for i in range(rng.randint(1, 9)))
+                weights = hand_built_weights(rng, vertices, values)
+                assert_tree_matches_references(WordGraph(vertices=vertices, weights=weights))
 
     def test_built_graphs_keep_reference_order(self):
         for ctx, graph in built_graphs(101, 25):
             mc = micro_cluster(graph, ctx, 0)
             assert list(optimal_micro_cluster(mc).edges) == kruskal_edges(mc.graph.vertices, mc.graph.weights)
+            assert_tree_matches_references(mc.graph)
+
+    def test_equal_weights_of_different_codes_and_the_closest_unequal_ones(self):
+        # Over 400 documents, 1/2 is the code of (1, 2) and of (200, 400), two objects of one value.
+        # 199/399 and 200/399, and 398/399 and 399/400, are the closest unequal weights: 1/399**2 and
+        # 1/(399 * 400) apart, where the tree's key must still tell them apart.
+        base = 401
+        pairs = [(1, 2), (200, 400), (199, 399), (200, 399), (398, 399), (399, 400), (0, 0)]
+        rng = random.Random(103)
+        for _ in range(60):
+            vertices = tuple(f"v{i}" for i in range(rng.randint(2, 6)))
+            rows = [[p * base + q for p, q in rng.choices(pairs, k=len(vertices) - i - 1)] for i in range(len(vertices))]
+            graph = WordGraph(vertices=vertices, weights=_PairWeights(vertices, rows, _Ratios(base)))
+            assert_tree_matches_references(graph)
+        halves = _Ratios(base)
+        assert halves[1 * base + 2] == halves[200 * base + 400] and halves[1 * base + 2] is not halves[200 * base + 400]
 
 
 def every_code_up_to_400_documents():
